@@ -5,7 +5,8 @@ Commands
 ``barolab run <config>``        execute the configured experiment
 ``barolab validate <config>``   check a configuration and report every problem
 ``barolab sweep <config> --param section.key --values a,b,c``
-                                run the experiment once per value, concurrently
+                                run the experiment once per value, one after another,
+                                in the order given
 
 Exit codes: 0 success, 1 invalid configuration, 2 integration failure,
 3 blow-up detected while the configuration demands completion
@@ -19,7 +20,6 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import parse_config
@@ -83,13 +83,8 @@ def _cmd_sweep(args):
         return EXIT_CONFIG
     base_dir = resolve_output_dir(base, args.output)
     key = args.param.split(".", 1)[1]
-
-    def one(item):
-        value, member = item
-        return value, run_experiment(member, base_dir / f"{key}={value}")
-
-    with ThreadPoolExecutor(max_workers=min(len(members), 8)) as pool:
-        outcomes = list(pool.map(one, members))
+    outcomes = [(value, run_experiment(member, base_dir / f"{key}={value}"))
+                for value, member in members]
     report = {value: {"exit_code": code, **summary} for value, (code, summary) in outcomes}
     with open(base_dir / "sweep.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)

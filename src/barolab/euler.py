@@ -130,26 +130,33 @@ def cfl_dt(state, eos, cfl):
     return min(cfl * state.grid.dx / speed, state.grid.dx)
 
 
-def step(state, dt, reg, eos, _rhs=None):
-    """One classical RK4 step; re-validates positivity and finiteness."""
-    f = _rhs or rhs
+def _rk4(state, dt, f, reg, eos):
+    """One classical RK4 step of ``f(state, reg, eos)``; re-validates the result.
+
+    Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.
+    """
     try:
         k1r, k1u = f(state, reg, eos)
-        s2 = replace(state, rho=state.rho + 0.5 * dt * k1r, u=state.u + 0.5 * dt * k1u)
+        s2 = replace(state, t=state.t + 0.5 * dt,
+                     rho=state.rho + 0.5 * dt * k1r, u=state.u + 0.5 * dt * k1u)
         k2r, k2u = f(s2, reg, eos)
-        s3 = replace(state, rho=state.rho + 0.5 * dt * k2r, u=state.u + 0.5 * dt * k2u)
+        s3 = replace(s2, rho=state.rho + 0.5 * dt * k2r, u=state.u + 0.5 * dt * k2u)
         k3r, k3u = f(s3, reg, eos)
-        s4 = replace(state, rho=state.rho + dt * k3r, u=state.u + dt * k3u)
+        s4 = replace(state, t=state.t + dt, rho=state.rho + dt * k3r, u=state.u + dt * k3u)
         k4r, k4u = f(s4, reg, eos)
-        out = State(
-            state.t + dt,
-            state.rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-            state.grid,
+        out = replace(
+            s4,
+            rho=state.rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+            u=state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         )
         return out.validate()
     except DomainError as exc:
         raise IntegrationError(str(exc), state.t) from exc
+
+
+def step(state, dt, reg, eos, _rhs=None):
+    """One classical RK4 step; re-validates positivity and finiteness."""
+    return _rk4(state, dt, _rhs or rhs, reg, eos)
 
 
 def energy_density(state, reg, eos):
@@ -202,32 +209,30 @@ def diagnostics(state, reg, eos, with_momentum_field=False):
     )
 
 
-def run(initial, config, reg, eos, _rhs=None):
-    """Advance to ``t_end`` or until the gradient sup-norm crosses the blow-up bar.
+def _drive(initial, config, eos, advance, row):
+    """The run loop shared by both systems.
 
-    Blow-up is a reported outcome (``result.blowup``), not an error; invalid
-    states raise :class:`IntegrationError`.  ``dt`` is recomputed every step.
+    ``advance(state, dt)`` takes one step and ``row(state, dt)`` gives the
+    series row ``(t, dt, mass, momentum, energy, sup_wx)``.
     """
     state = initial.validate()
-    sup0 = sup_gradient(state)
     threshold = config.blowup_threshold
     if threshold is None:
-        threshold = config.blowup_factor * (sup0 + 1.0)
+        threshold = config.blowup_factor * (sup_gradient(state) + 1.0)
     result = RunResult(final=state)
-    d = diagnostics(state, reg, eos)
-    result.series.append((state.t, 0.0, d.mass, d.momentum, d.energy, d.sup_wx))
+    result.series.append(row(state, 0.0))
     result.snapshots.append((state.t, state))
     t_end = initial.t + config.t_end
     boundary_warned = False
     while state.t < t_end - 1e-14 * max(1.0, abs(t_end)):
         dt = min(cfl_dt(state, eos, config.cfl), t_end - state.t)
-        state = step(state, dt, reg, eos, _rhs=_rhs)
+        state = advance(state, dt)
         result.steps += 1
-        d = diagnostics(state, reg, eos)
-        result.series.append((state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx))
+        r = row(state, dt)
+        result.series.append(r)
         if config.snapshot_every and result.steps % config.snapshot_every == 0:
             result.snapshots.append((state.t, state))
-        if d.sup_wx > threshold:
+        if r[-1] > threshold:
             result.blowup = True
             result.blowup_time = state.t
             break
@@ -238,6 +243,20 @@ def run(initial, config, reg, eos, _rhs=None):
         result.snapshots.append((state.t, state))
     result.final = state
     return result
+
+
+def run(initial, config, reg, eos, _rhs=None):
+    """Advance to ``t_end`` or until the gradient sup-norm crosses the blow-up bar.
+
+    Blow-up is a reported outcome (``result.blowup``), not an error; invalid
+    states raise :class:`IntegrationError`.  ``dt`` is recomputed every step.
+    """
+    def row(state, dt):
+        d = diagnostics(state, reg, eos)
+        return (state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx)
+
+    return _drive(initial, config, eos,
+                  lambda state, dt: step(state, dt, reg, eos, _rhs=_rhs), row)
 
 
 # -- first-order classical reference ----------------------------------------

@@ -78,8 +78,8 @@ def run_experiment(config, output_dir=None):
     outdir = resolve_output_dir(config, output_dir)
     started = time.perf_counter()
     runner = {
-        "rbe_run": _run_rbe,
-        "ghs_run": _run_ghs,
+        "rbe_run": _run_time_series,
+        "ghs_run": _run_time_series,
         "dispersion_study": _run_dispersion,
         "steady_profile": _run_steady_profile,
         "epsilon_sweep": _run_epsilon_sweep,
@@ -108,57 +108,34 @@ def _drift(series, column):
     return abs(last - first) / max(abs(first), 1e-12)
 
 
-def _write_time_series(outdir, result, grid, snapshot_writer):
+def _run_time_series(config, outdir):
+    """``rbe_run`` and ``ghs_run``: one integration with diagnostics and snapshots.
+
+    ``rbe_run`` snapshots carry the nonlocal momentum ``m`` and the
+    regularizing flux ``R``; ``ghs_run`` snapshots carry ``rho*u`` and no
+    ``R``, and its summary has no momentum drift.
+    """
+    grid = build_grid(config)
+    rho0, u0 = build_initial(config, grid)
+    reg, eos = config.regularizer, config.eos
+    is_ghs = config.kind == "ghs_run"
+    state_cls, driver = (GhsState, ghs_run) if is_ghs else (State, run)
+    result = driver(state_cls(0.0, rho0, u0, grid), config.solver, reg, eos)
+
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, result.series)
-    index_rows = []
-    for idx, (t, state) in enumerate(result.snapshots):
-        name = f"snapshot_{idx:06d}.csv"
-        snapshot_writer(outdir / name, state)
-        index_rows.append((idx, t))
+    for idx, (_, state) in enumerate(result.snapshots):
+        path = outdir / f"snapshot_{idx:06d}.csv"
+        if is_ghs:
+            write_snapshot(path, grid, state.rho, state.u, state.rho * state.u)
+        else:
+            flux = SLSystem(grid, state.rho, reg).smooth(reg_source(state, reg, eos))
+            write_snapshot(path, grid, state.rho, state.u, momentum_field(state, reg), flux)
     with open(outdir / "snapshots_index.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("index,t,filename\n")
-        for idx, t in index_rows:
+        for idx, (t, _) in enumerate(result.snapshots):
             f.write(f"{idx},{_fmt(t)},snapshot_{idx:06d}.csv\n")
-
-
-def _run_rbe(config, outdir):
-    grid = build_grid(config)
-    rho0, u0 = build_initial(config, grid)
-    reg, eos = config.regularizer, config.eos
-    result = run(State(0.0, rho0, u0, grid), config.solver, reg, eos)
-
-    def writer(path, state):
-        sl = SLSystem(grid, state.rho, reg)
-        flux = sl.smooth(reg_source(state, reg, eos))
-        write_snapshot(path, grid, state.rho, state.u, momentum_field(state, reg), flux)
-
-    _write_time_series(outdir, result, grid, writer)
     summary = {
-        "kind": "rbe_run",
-        "steps": result.steps,
-        "final_time": result.final.t,
-        "energy_drift": _drift(result.series, 4),
-        "mass_drift": _drift(result.series, 2),
-        "momentum_drift": _drift(result.series, 3),
-        "blowup": result.blowup,
-        "blowup_time": result.blowup_time,
-    }
-    code = EXIT_BLOWUP if (result.blowup and config["solver"]["on_blowup"] == "fail") else EXIT_OK
-    return code, summary
-
-
-def _run_ghs(config, outdir):
-    grid = build_grid(config)
-    rho0, u0 = build_initial(config, grid)
-    reg, eos = config.regularizer, config.eos
-    result = ghs_run(GhsState(0.0, rho0, u0, grid), config.solver, reg, eos)
-
-    def writer(path, state):
-        write_snapshot(path, grid, state.rho, state.u, state.rho * state.u)
-
-    _write_time_series(outdir, result, grid, writer)
-    summary = {
-        "kind": "ghs_run",
+        "kind": config.kind,
         "steps": result.steps,
         "final_time": result.final.t,
         "energy_drift": _drift(result.series, 4),
@@ -166,6 +143,8 @@ def _run_ghs(config, outdir):
         "blowup": result.blowup,
         "blowup_time": result.blowup_time,
     }
+    if not is_ghs:
+        summary["momentum_drift"] = _drift(result.series, 3)
     code = EXIT_BLOWUP if (result.blowup and config["solver"]["on_blowup"] == "fail") else EXIT_OK
     return code, summary
 

@@ -29,38 +29,28 @@ plus a minimal leapfrog driver for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, VacuumError
-from .euler import RunResult, cfl_dt
+from .errors import DomainError
+from .euler import State, _drive, _rk4, sup_gradient
 from .grid import require_finite
 
 
 @dataclass(frozen=True)
-class GhsState:
+class GhsState(State):
     """Periodic density/velocity pair plus the scalar forcing ``g(t)``.
 
     ``forcing`` may be a number or any callable of ``t``.
     """
 
-    t: float
-    rho: np.ndarray
-    u: np.ndarray
-    grid: object
     forcing: object = 0.0
 
     def validate(self):
         if not self.grid.is_periodic:
             raise DomainError("the Hunter-Saxton system is integrated on periodic grids")
-        rho = require_finite(self.rho, "density")
-        require_finite(self.u, "velocity")
-        if rho.shape != (self.grid.n,) or self.u.shape != (self.grid.n,):
-            raise DomainError("field shapes do not match the grid")
-        if np.min(rho) <= 0.0:
-            raise VacuumError("density reached vacuum")
-        return self
+        return super().validate()
 
     def g(self, t):
         if callable(self.forcing):
@@ -104,62 +94,17 @@ def ghs_energy(state, reg, eos):
 
 def ghs_step(state, dt, reg, eos):
     """One RK4 step with positivity/finiteness re-validation."""
-    try:
-        k1r, k1u = ghs_rhs(state, reg, eos)
-        s2 = replace(state, t=state.t + 0.5 * dt,
-                     rho=state.rho + 0.5 * dt * k1r, u=state.u + 0.5 * dt * k1u)
-        k2r, k2u = ghs_rhs(s2, reg, eos)
-        s3 = replace(s2, rho=state.rho + 0.5 * dt * k2r, u=state.u + 0.5 * dt * k2u)
-        k3r, k3u = ghs_rhs(s3, reg, eos)
-        s4 = replace(state, t=state.t + dt,
-                     rho=state.rho + dt * k3r, u=state.u + dt * k3u)
-        k4r, k4u = ghs_rhs(s4, reg, eos)
-        out = replace(
-            state,
-            t=state.t + dt,
-            rho=state.rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            u=state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        )
-        return out.validate()
-    except DomainError as exc:
-        raise IntegrationError(str(exc), state.t) from exc
+    return _rk4(state, dt, ghs_rhs, reg, eos)
 
 
 def ghs_run(initial, config, reg, eos):
     """Advance to ``t_end`` with blow-up detection on the gradient sup-norm."""
-    state = initial.validate()
-    grid = state.grid
-
-    def sup_wx(s):
-        return max(np.max(np.abs(grid.ddx(s.rho))), np.max(np.abs(grid.ddx(s.u))))
-
     def row(s, dt):
+        grid = s.grid
         return (s.t, dt, grid.integrate(s.rho), grid.integrate(s.rho * s.u),
-                ghs_energy(s, reg, eos), sup_wx(s))
+                ghs_energy(s, reg, eos), sup_gradient(s))
 
-    threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = config.blowup_factor * (sup_wx(state) + 1.0)
-    result = RunResult(final=state)
-    result.series.append(row(state, 0.0))
-    result.snapshots.append((state.t, state))
-    t_end = initial.t + config.t_end
-    while state.t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        dt = min(cfl_dt(state, eos, config.cfl), t_end - state.t)
-        state = ghs_step(state, dt, reg, eos)
-        result.steps += 1
-        r = row(state, dt)
-        result.series.append(r)
-        if config.snapshot_every and result.steps % config.snapshot_every == 0:
-            result.snapshots.append((state.t, state))
-        if r[-1] > threshold:
-            result.blowup = True
-            result.blowup_time = state.t
-            break
-    if result.snapshots[-1][0] != state.t:
-        result.snapshots.append((state.t, state))
-    result.final = state
-    return result
+    return _drive(initial, config, eos, lambda s, dt: ghs_step(s, dt, reg, eos), row)
 
 
 # -- variational wave equation (mass-Lagrangian form, inverse family) --------

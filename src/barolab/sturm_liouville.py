@@ -9,9 +9,10 @@ self-adjointness that makes the operator coercive for positive ``rho``):
 
 with ``k = rho * A'``.  Periodic grids give a cyclic tridiagonal system solved
 directly through a rank-1 (Sherman-Morrison) correction of a plain banded
-Cholesky factorization; line grids close the system with the far-field
-constants as Dirichlet ghost data.  Every solve asserts its residual, so a
-factorization that silently degraded would be caught immediately.
+Cholesky factorization; line grids are the same system with a zero corner,
+closed with the far-field constants as Dirichlet ghost data.  Every solve
+asserts its residual, so a factorization that silently degraded would be
+caught immediately.
 
 Three derived operations are provided on top of the inverse:
 
@@ -59,37 +60,31 @@ class SLSystem:
         self.kappa = rho * reg.slope(rho)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
+        # k_face[j] couples cells j-1 and j; the outer faces wrap on a periodic
+        # grid and face the far field (Dirichlet ghosts) on a line grid
+        k_face = np.empty(grid.n + 1)
+        k_face[1:-1] = 0.5 * (self.kappa[:-1] + self.kappa[1:])
         if grid.is_periodic:
-            k_half = 0.5 * (self.kappa + np.roll(self.kappa, -1))  # couples i and i+1, wraps
-            diag = rho + c * (k_half + np.roll(k_half, 1))
-            self._k_half = k_half
-            self._corner = -c * k_half[-1]  # entry (0, n-1) of the cyclic matrix
-            ab = np.zeros((2, grid.n))
-            ab[1] = diag
-            ab[0, 1:] = -c * k_half[:-1]
-            # Sherman-Morrison split A = T + corner * w w^T with w = e_0 + e_{n-1};
-            # corner <= 0 so T only gains on the diagonal and stays SPD.
-            ab[1, 0] -= self._corner
-            ab[1, -1] -= self._corner
-            self._factor = _factorize(ab)
-            if self._corner != 0.0:
-                w = np.zeros(grid.n)
-                w[0] = w[-1] = 1.0
-                self._tinv_w = cho_solve_banded((self._factor, False), w)
-                self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
+            k_face[0] = k_face[-1] = 0.5 * (self.kappa[-1] + self.kappa[0])
+            self._corner = -c * k_face[0]  # entry (0, n-1) of the cyclic matrix
         else:
-            k_half = 0.5 * (self.kappa[:-1] + self.kappa[1:])  # interior interfaces
-            self._k_half = k_half
-            self._k_edge = (self.kappa[0], self.kappa[-1])     # ghost interfaces
-            diag = rho.astype(float).copy()
-            diag[:-1] += c * k_half
-            diag[1:] += c * k_half
-            diag[0] += c * self._k_edge[0]
-            diag[-1] += c * self._k_edge[1]
-            ab = np.zeros((2, grid.n))
-            ab[1] = diag
-            ab[0, 1:] = -c * k_half
-            self._factor = _factorize(ab)
+            k_face[0], k_face[-1] = self.kappa[0], self.kappa[-1]
+            self._corner = 0.0
+        self._k_face = k_face
+        diag = rho + c * (k_face[1:] + k_face[:-1])
+        ab = np.zeros((2, grid.n))
+        ab[1] = diag
+        ab[0, 1:] = -c * k_face[1:-1]
+        # Sherman-Morrison split A = T + corner * w w^T with w = e_0 + e_{n-1};
+        # corner <= 0 so T only gains on the diagonal and stays SPD.
+        ab[1, 0] -= self._corner
+        ab[1, -1] -= self._corner
+        self._factor = _factorize(ab)
+        if self._corner != 0.0:
+            w = np.zeros(grid.n)
+            w[0] = w[-1] = 1.0
+            self._tinv_w = cho_solve_banded((self._factor, False), w)
+            self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
         self.diagonal = diag
 
     # -- matrix action -------------------------------------------------------
@@ -98,18 +93,13 @@ class SLSystem:
         """Matrix-vector product ``L u`` (ghost values from ``far`` on line grids)."""
         u = np.asarray(u, dtype=float)
         if self.grid.is_periodic:
-            kh = self._k_half
-            return self.rho * u - self._c * (
-                kh * (np.roll(u, -1) - u) - np.roll(kh, 1) * (u - np.roll(u, 1))
-            )
-        left, right = self.grid._ghosts(u, far)
-        out = self.rho * u
-        flux = np.empty(self.grid.n + 1)
-        flux[1:-1] = self._k_half * (u[1:] - u[:-1])
-        flux[0] = self._k_edge[0] * (u[0] - left)
-        flux[-1] = self._k_edge[1] * (right - u[-1])
-        out -= self._c * (flux[1:] - flux[:-1])
-        return out
+            left, right = u[-1], u[0]
+        else:
+            left, right = self.grid._ghosts(u, far)
+        padded = np.empty(self.grid.n + 2)
+        padded[0], padded[1:-1], padded[-1] = left, u, right
+        flux = self._k_face * (padded[1:] - padded[:-1])
+        return self.rho * u - self._c * (flux[1:] - flux[:-1])
 
     def solve(self, f, far=None):
         """Direct solve of ``L u = f`` with an enforced residual bound.
@@ -118,20 +108,18 @@ class SLSystem:
         in the far field (``far`` overrides the default edge-sample estimate).
         """
         f = np.asarray(f, dtype=float)
-        if self.grid.is_periodic:
-            u = cho_solve_banded((self._factor, False), f)
-            if self._corner != 0.0:
-                wu = u[0] + u[-1]
-                u = u - (self._corner * wu / self._sm_denom) * self._tinv_w
-            residual = self.apply(u) - f
-        else:
+        rhs = f
+        if not self.grid.is_periodic:
             if far is None:
                 far = (f[0] / self.rho[0], f[-1] / self.rho[-1])
             rhs = f.copy()
-            rhs[0] += self._c * self._k_edge[0] * far[0]
-            rhs[-1] += self._c * self._k_edge[1] * far[1]
-            u = cho_solve_banded((self._factor, False), rhs)
-            residual = self.apply(u, far=far) - f
+            rhs[0] += self._c * self._k_face[0] * far[0]
+            rhs[-1] += self._c * self._k_face[-1] * far[1]
+        u = cho_solve_banded((self._factor, False), rhs)
+        if self._corner != 0.0:
+            wu = u[0] + u[-1]
+            u = u - (self._corner * wu / self._sm_denom) * self._tinv_w
+        residual = self.apply(u, far=far) - f
         scale = np.max(np.abs(f))
         if np.max(np.abs(residual)) > RESIDUAL_TOL * scale:
             raise NumericalBreakdownError(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import barolab as bl
-from barolab import ConfigError
+from barolab import ConfigError, cli
 from barolab.config import build_grid, build_initial, parse_config
 from barolab.experiments import read_snapshot, run_experiment
 
@@ -265,3 +265,25 @@ class TestCli:
         assert (tmp_path / "sw" / "epsilon=0.2" / "summary.json").exists()
         report = json.loads((tmp_path / "sw" / "sweep.json").read_text())
         assert set(report) == {"0.05", "0.2"}
+
+    def test_sweep_is_a_loop_of_single_runs(self, tmp_path, capsys):
+        # in process: every member's CSV output equals a plain run_experiment
+        # of the same overridden config
+        text = MINIMAL_RBE + "snapshot_every = 10\n"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        values = ("0.2", "0.05")
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", ",".join(values), "--output", str(tmp_path / "sw")])
+        capsys.readouterr()
+        assert code == 0
+        for value in values:
+            single = tmp_path / "single" / value
+            run_experiment(parse_config(text.replace("epsilon = 0.1", f"epsilon = {value}")),
+                           single)
+            member = tmp_path / "sw" / f"epsilon={value}"
+            names = sorted(p.name for p in single.glob("*.csv"))
+            assert len(names) > 3
+            assert names == sorted(p.name for p in member.glob("*.csv"))
+            for name in names:
+                assert (member / name).read_bytes() == (single / name).read_bytes(), name

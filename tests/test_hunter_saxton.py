@@ -118,6 +118,18 @@ class TestEnergy:
 
 
 class TestRun:
+    def test_rk4_stage_times(self, sw_eos, cubic_reg):
+        # a constant state with forcing g(t) has u' = g(t) exactly, and RK4 on
+        # that is Simpson's rule, exact for cubics only with the stage times
+        # t, t + dt/2, t + dt/2, t + dt
+        g = Grid.periodic(1.0, 32)
+        t, dt = 0.3, 0.1
+        st = GhsState(t, np.full(32, 1.2), np.full(32, 0.3), g, forcing=lambda s: s**3)
+        out = bl.ghs_step(st, dt, cubic_reg, sw_eos)
+        want = ((t + dt) ** 4 - t**4) / 4
+        assert np.max(np.abs((out.u - st.u) - want)) <= 1e-14
+        assert np.array_equal(out.rho, st.rho)
+
     def test_constant_state_identical_after_long_run(self, sw_eos, cubic_reg):
         g = Grid.periodic(1.0, 32)
         st = GhsState(0.0, np.full(32, 1.0), np.full(32, 0.1), g)

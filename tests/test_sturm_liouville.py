@@ -18,6 +18,11 @@ from conftest import observed_order
 UNIT_SLOPE = Regularizer.power(0.5, 1.0)  # A = rho, A' = 1; eps = 1/2 makes L = rho - d2
 
 
+def unit_grid(topology, n):
+    """``n`` nodes on ``[0, 1)``, periodic or as a line with far-field closure."""
+    return Grid.periodic(1.0, n) if topology == "periodic" else Grid.line(0.0, 1.0, n)
+
+
 def smooth_random_field(grid, rng, modes=8, amp=1.0):
     coeff = np.zeros(grid.n, dtype=complex)
     m = np.arange(1, modes + 1)
@@ -35,13 +40,15 @@ class TestAssembleApply:
         manual = u - (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / g.dx**2
         assert np.allclose(sys.apply(u), manual, rtol=1e-14, atol=1e-14)
 
-    def test_matrix_symmetry_random_rho(self, cubic_reg):
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
+    def test_matrix_symmetry_random_rho(self, cubic_reg, topology):
         rng = np.random.default_rng(11)
         n = 48
-        g = Grid.periodic(1.0, n)
+        g = unit_grid(topology, n)
         rho = 1.25 + 0.75 * np.sin(2 * np.pi * g.x + rng.uniform(0, 2 * np.pi))
         sys = SLSystem(g, rho, cubic_reg)
-        M = np.column_stack([sys.apply(col) for col in np.eye(n)])
+        # zero ghosts on a line grid, so each column is the matrix column alone
+        M = np.column_stack([sys.apply(col, far=(0.0, 0.0)) for col in np.eye(n)])
         assert np.max(np.abs(M - M.T)) <= 1e-14 * np.max(np.abs(M))
 
     def test_eps_zero_is_diagonal(self, sw_eos):
@@ -86,15 +93,17 @@ class TestSolve:
             errs.append(np.max(np.abs(u - 0.5 * np.cos(g.x))))
         assert observed_order(errs) == pytest.approx(2.0, abs=0.2)
 
-    def test_round_trip(self, cubic_reg):
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
+    def test_round_trip(self, cubic_reg, topology):
         rng = np.random.default_rng(5)
-        g = Grid.periodic(1.0, 200)
+        g = unit_grid(topology, 200)
+        far = None if g.is_periodic else (0.3, -0.2)
         rho = 1.3 + 0.9 * np.sin(2 * np.pi * g.x)
         sys = SLSystem(g, rho, cubic_reg)
         for _ in range(5):
             f = smooth_random_field(g, rng)
-            u = sys.solve(f)
-            assert np.max(np.abs(sys.apply(u) - f)) <= 1e-10 * np.max(np.abs(f))
+            u = sys.solve(f, far=far)
+            assert np.max(np.abs(sys.apply(u, far=far) - f)) <= 1e-10 * np.max(np.abs(f))
 
     def test_maximum_principle(self, cubic_reg):
         rng = np.random.default_rng(17)
