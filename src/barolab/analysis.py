@@ -146,8 +146,6 @@ class SteadyFluxes:
 
 def far_field_fluxes(rho_left, u_left, rho_right, u_right, eos):
     """Fluxes of two equilibrium far fields, with the mismatch bookkeeping."""
-    if rho_left <= 0.0 or rho_right <= 0.0:
-        raise DomainError("far-field densities must be positive")
     i_l, s_l, f_l = equilibrium_fluxes(rho_left, u_left, eos)
     i_r, s_r, f_r = equilibrium_fluxes(rho_right, u_right, eos)
     return SteadyFluxes(i_l, s_l, f_l, f_r, mass_mismatch=i_r - i_l, momentum_mismatch=s_r - s_l)

@@ -9,13 +9,12 @@ problems at once.  The full grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eos import EquationOfState
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, _require
 from .euler import SolverConfig
 from .grid import Grid
 from .regularizer import Regularizer
@@ -98,30 +97,19 @@ class ExperimentConfig:
     kind: str
     eos: EquationOfState
     regularizer: Regularizer
+    solver: SolverConfig
     values: dict = field(default_factory=dict)  # per-section raw (typed) values
 
     def __getitem__(self, section):
         return self.values[section]
 
     @property
-    def solver(self):
-        s = self.values["solver"]
-        return SolverConfig(
-            t_end=s["t_end"], cfl=s["cfl"], blowup_factor=s["blowup_factor"],
-            blowup_threshold=s["blowup_threshold"], snapshot_every=s["snapshot_every"],
-        )
-
-    @property
     def output_directory(self):
         return self.values["output"]["directory"]
 
 
-def _float_list(text):
-    return [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
-
-
-def _int_list(text):
-    return [int(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+def _list(text, conv):
+    return [conv(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
 
 
 def parse_config(text):
@@ -153,15 +141,21 @@ def parse_config(text):
                 problems.append(f"[{section}] {key}: cannot parse {raw!r} as {conv.__name__}")
 
     problems += _validate(values)
+    built = {}
+    for section, build in (("eos", _build_eos), ("regularizer", _build_regularizer),
+                           ("grid", build_grid), ("solver", _build_solver)):
+        try:
+            built[section] = build(values)
+        except DomainError as exc:
+            problems.append(f"[{section}] {exc}")
     if problems:
         raise ConfigError(problems)
-
-    eos = _build_eos(values["eos"])
-    reg = _build_regularizer(values["regularizer"], eos)
-    return ExperimentConfig(values["experiment"]["kind"], eos, reg, values)
+    return ExperimentConfig(values["experiment"]["kind"], built["eos"],
+                            built["regularizer"], built["solver"], values)
 
 
 def _validate(v):
+    """The rules no constructor knows; the built objects check their own."""
     problems = []
     kind = v["experiment"]["kind"]
     if kind is None:
@@ -169,42 +163,7 @@ def _validate(v):
     elif kind not in EXPERIMENT_KINDS:
         problems.append(f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}")
 
-    e = v["eos"]
-    if e["kind"] not in ("isentropic", "isothermal", "shallow_water"):
-        problems.append("[eos] kind must be isentropic, isothermal or shallow_water")
-    if e["kind"] == "isentropic":
-        if not e["gamma"] > 0.0:
-            problems.append("[eos] gamma must be > 0")
-        elif e["gamma"] == 1.0:
-            problems.append("[eos] gamma must be != 1 (use kind = isothermal)")
-    if e["kind"] == "shallow_water" and not e["g"] > 0.0:
-        problems.append("[eos] g must be > 0")
-    if not e["rho_bar"] > 0.0:
-        problems.append("[eos] rho_bar must be > 0")
-    if not e["p_bar"] > 0.0:
-        problems.append("[eos] p_bar must be > 0")
-
-    r = v["regularizer"]
-    if r["kind"] not in ("cubic", "inverse", "power"):
-        problems.append("[regularizer] kind must be cubic, inverse or power")
-    if not r["epsilon"] >= 0.0:
-        problems.append("[regularizer] epsilon must be >= 0")
-    if r["kind"] == "inverse" and not r["a"] > 0.0:
-        problems.append("[regularizer] a must be > 0")
-    if r["kind"] == "power" and r["p"] == 0.0:
-        problems.append("[regularizer] p must be != 0")
-
-    g = v["grid"]
-    if g["topology"] not in ("periodic", "line"):
-        problems.append("[grid] topology must be periodic or line")
-    if g["n"] < 8:
-        problems.append("[grid] n must be >= 8")
-    if g["topology"] == "periodic" and not g["length"] > 0.0:
-        problems.append("[grid] length must be > 0")
-    if g["topology"] == "line" and not g["x_max"] > g["x_min"]:
-        problems.append("[grid] x_max must be > x_min")
-
-    if kind == "ghs_run" and g["topology"] != "periodic":
+    if kind == "ghs_run" and v["grid"]["topology"] != "periodic":
         problems.append("[grid] topology must be periodic for ghs_run")
 
     i = v["initial"]
@@ -219,25 +178,13 @@ def _validate(v):
     if i["rho_value"] is not None and not i["rho_value"] > 0.0:
         problems.append("[initial] rho_value must be > 0")
 
-    s = v["solver"]
-    if not 0.0 < s["cfl"] <= 1.0:
-        problems.append("[solver] cfl must lie in (0, 1]")
-    if not s["t_end"] > 0.0:
-        problems.append("[solver] t_end must be > 0")
-    if not s["blowup_factor"] > 0.0:
-        problems.append("[solver] blowup_factor must be > 0")
-    if s["blowup_threshold"] is not None and not s["blowup_threshold"] > 0.0:
-        problems.append("[solver] blowup_threshold must be > 0 when given")
-    if s["snapshot_every"] < 0:
-        problems.append("[solver] snapshot_every must be >= 0")
-    if s["on_blowup"] not in ("report", "fail"):
+    if v["solver"]["on_blowup"] not in ("report", "fail"):
         problems.append("[solver] on_blowup must be report or fail")
 
     st = v["study"]
-    for key, lister in (("modes", _int_list), ("epsilons", _float_list),
-                        ("resolutions", _int_list)):
+    for key, conv in (("modes", int), ("epsilons", float), ("resolutions", int)):
         try:
-            lister(st[key])
+            _list(st[key], conv)
         except ValueError:
             problems.append(f"[study] {key}: cannot parse {st[key]!r} as a comma list")
     if st["variant"] not in ("spatial", "temporal"):
@@ -246,43 +193,65 @@ def _validate(v):
         problems.append("[study] solver must be rbe or ghs")
     if not st["amplitude"] > 0.0:
         problems.append("[study] amplitude must be > 0")
-
-    for sec, key in (("eos", "gamma"), ("eos", "rho_bar"), ("eos", "p_bar"),
-                     ("regularizer", "epsilon"), ("solver", "t_end"), ("solver", "cfl")):
-        val = v[sec][key]
-        if val is not None and not math.isfinite(val):
-            problems.append(f"[{sec}] {key} must be finite")
     return problems
 
 
-def _build_eos(e):
+# Each builder reads only the typed values, so that one broken section does
+# not hide the problems of another; rho_bar comes from the [eos] values.
+
+def _build_eos(v):
+    e = v["eos"]
     if e["kind"] == "isentropic":
         return EquationOfState.isentropic(e["gamma"], e["rho_bar"], e["p_bar"])
     if e["kind"] == "isothermal":
         return EquationOfState.isothermal(e["rho_bar"], e["p_bar"])
-    return EquationOfState.shallow_water(e["g"], e["rho_bar"])
+    if e["kind"] == "shallow_water":
+        return EquationOfState.shallow_water(e["g"], e["rho_bar"])
+    raise DomainError(f"kind must be isentropic, isothermal or shallow_water, not {e['kind']!r}")
 
 
-def _build_regularizer(r, eos):
-    if r["kind"] == "cubic":
-        return Regularizer.cubic(r["epsilon"])
-    if r["kind"] == "inverse":
-        return Regularizer.inverse(r["epsilon"], r["a"], eos.rho_bar)
-    return Regularizer.power(r["epsilon"], r["p"])
+def _build_regularizer(v):
+    r = v["regularizer"]
+    return Regularizer(r["kind"], r["epsilon"], a=r["a"], rho_bar=v["eos"]["rho_bar"], p=r["p"])
+
+
+def _build_solver(v):
+    s = v["solver"]
+    return SolverConfig(
+        t_end=s["t_end"], cfl=s["cfl"], blowup_factor=s["blowup_factor"],
+        blowup_threshold=s["blowup_threshold"], snapshot_every=s["snapshot_every"],
+    )
 
 
 def build_grid(config):
     g = config["grid"]
     if g["topology"] == "periodic":
         return Grid.periodic(g["length"], g["n"])
-    rho_bar = config.eos.rho_bar
-    rho_far = (g["rho_left"] if g["rho_left"] is not None else rho_bar,
-               g["rho_right"] if g["rho_right"] is not None else rho_bar)
-    return Grid.line(g["x_min"], g["x_max"], g["n"], rho_far, (g["u_left"], g["u_right"]))
+    if g["topology"] == "line":
+        rho_far = tuple(config["eos"]["rho_bar"] if r is None else r
+                        for r in (g["rho_left"], g["rho_right"]))
+        return Grid.line(g["x_min"], g["x_max"], g["n"], rho_far, (g["u_left"], g["u_right"]))
+    raise DomainError(f"topology must be periodic or line, not {g['topology']!r}")
 
 
 def build_initial(config, grid):
-    """Initial ``(rho, u)`` fields for the configured preset."""
+    """Initial ``(rho, u)`` fields for the configured preset.
+
+    On a line grid both fields must meet the grid's far-field values at
+    either edge, within the tolerance of :meth:`Grid.check_boundary`.
+    """
+    rho, u = _preset(config, grid)
+    if not grid.is_periodic:
+        keys = ("rho_left", "rho_right", "u_left", "u_right")
+        _require(*((abs(edge - far) <= 1e-8,
+                    f"initial {key.replace('_', ' at the ')} edge is {edge:.17g}, "
+                    f"but [grid] {key} is {far:.17g}")
+                   for key, edge, far in zip(keys, (rho[0], rho[-1], u[0], u[-1]),
+                                             grid.rho_far + grid.u_far)))
+    return rho, u
+
+
+def _preset(config, grid):
     i = config["initial"]
     eos = config.eos
     x, length = grid.x, grid.length
@@ -320,12 +289,12 @@ def build_initial(config, grid):
 
 
 def study_modes(config):
-    return _int_list(config["study"]["modes"])
+    return _list(config["study"]["modes"], int)
 
 
 def study_epsilons(config):
-    return _float_list(config["study"]["epsilons"])
+    return _list(config["study"]["epsilons"], float)
 
 
 def study_resolutions(config):
-    return _int_list(config["study"]["resolutions"])
+    return _list(config["study"]["resolutions"], int)

@@ -16,11 +16,12 @@ and is offered as a named constructor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require
 
 ISENTROPIC = "isentropic"
 ISOTHERMAL = "isothermal"
@@ -55,15 +56,16 @@ class EquationOfState:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (ISENTROPIC, ISOTHERMAL):
-            raise DomainError(f"unknown equation-of-state kind {self.kind!r}")
-        if self.rho_bar <= 0.0:
-            raise DomainError("rho_bar must be > 0")
-        if self.p_bar <= 0.0:
-            raise DomainError("p_bar must be > 0")
-        if self.kind == ISENTROPIC:
-            if self.gamma is None or self.gamma <= 0.0 or self.gamma == 1.0:
-                raise DomainError("gamma must be > 0 and != 1 (use isothermal for gamma = 1)")
+        isentropic = self.kind == ISENTROPIC
+        _require(
+            (isentropic or self.kind == ISOTHERMAL,
+             f"kind must be isentropic or isothermal, not {self.kind!r}"),
+            (0.0 < self.rho_bar < math.inf, "rho_bar must be > 0 and finite"),
+            (0.0 < self.p_bar < math.inf, "p_bar must be > 0 and finite"),
+            (not isentropic or (self.gamma is not None and 0.0 < self.gamma < math.inf),
+             "gamma must be > 0 and finite"),
+            (not isentropic or self.gamma != 1.0, "gamma must be != 1 (use kind = isothermal)"),
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -78,8 +80,9 @@ class EquationOfState:
     @classmethod
     def shallow_water(cls, g=1.0, rho_bar=1.0):
         """The gamma = 2 law ``P = g*rho**2/2`` with gravity ``g``."""
-        if g <= 0.0:
-            raise DomainError("g must be > 0")
+        # checked here, before they make up p_bar, so the message names them
+        _require((0.0 < g < math.inf, "g must be > 0 and finite"),
+                 (0.0 < rho_bar < math.inf, "rho_bar must be > 0 and finite"))
         return cls.isentropic(2.0, rho_bar, 0.5 * g * rho_bar**2)
 
     # -- scalar functions of the density ------------------------------------

@@ -9,12 +9,19 @@ class DomainError(BarolabError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+def _require(*rules):
+    """Raise one :class:`DomainError` naming every ``(holds, message)`` rule that fails."""
+    broken = [message for holds, message in rules if not holds]
+    if broken:
+        raise DomainError("; ".join(broken))
+
+
 class VacuumError(DomainError):
     """A density field touched zero or went negative."""
 
 
 class NumericalBreakdownError(BarolabError, ArithmeticError):
-    """A linear solve failed its residual check."""
+    """A linear solve failed its backward-error check."""
 
 
 class IntegrationError(BarolabError, RuntimeError):

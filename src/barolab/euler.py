@@ -28,11 +28,12 @@ shocks, so the monotone scheme is the meaningful baseline there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, VacuumError
+from .errors import DomainError, IntegrationError, VacuumError, _require
 from .grid import require_finite
 from .regularizer import composite_coefficients
 from .sturm_liouville import SLSystem
@@ -74,10 +75,14 @@ class SolverConfig:
     snapshot_every: int = 0                 # steps between snapshots; 0 = ends only
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise DomainError("cfl must lie in (0, 1]")
-        if self.t_end <= 0.0:
-            raise DomainError("t_end must be > 0")
+        _require(
+            (0.0 < self.t_end < math.inf, "t_end must be > 0 and finite"),
+            (0.0 < self.cfl <= 1.0, "cfl must lie in (0, 1]"),
+            (self.blowup_factor > 0.0, "blowup_factor must be > 0"),
+            (self.blowup_threshold is None or self.blowup_threshold > 0.0,
+             "blowup_threshold must be > 0 when given"),
+            (self.snapshot_every >= 0, "snapshot_every must be >= 0"),
+        )
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ treatment balances every term.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryContaminationWarning, DomainError
+from .errors import BoundaryContaminationWarning, DomainError, _require
 
 PERIODIC = "periodic"
 LINE = "line"
@@ -48,24 +49,31 @@ class Grid:
     x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 8:
-            raise DomainError("grid needs at least 8 cells")
-        if self.dx <= 0.0:
-            raise DomainError("dx must be > 0")
+        periodic = self.is_periodic
+        spacing_ok = 0.0 < self.dx < math.inf
+        _require(
+            (self.n >= 8, "n must be >= 8"),
+            (not periodic or spacing_ok, "length must be > 0 and finite"),
+            (periodic or (spacing_ok and math.isfinite(self.x_min)),
+             "x_min and x_max must be finite with x_max > x_min"),
+            (periodic or all(0.0 < r < math.inf for r in self.rho_far),
+             "rho_left and rho_right must be > 0 and finite"),
+            (periodic or all(math.isfinite(v) for v in self.u_far),
+             "u_left and u_right must be finite"),
+        )
         object.__setattr__(self, "x", self.x_min + self.dx * np.arange(self.n))
+
+    # n is checked in __post_init__; max(n, 1) only keeps dx defined until then
 
     @classmethod
     def periodic(cls, length, n):
-        if length <= 0.0:
-            raise DomainError("periodic length must be > 0")
-        return cls(PERIODIC, int(n), float(length) / int(n), 0.0)
+        n = int(n)
+        return cls(PERIODIC, n, float(length) / max(n, 1), 0.0)
 
     @classmethod
     def line(cls, x_min, x_max, n, rho_far=(1.0, 1.0), u_far=(0.0, 0.0)):
-        if x_max <= x_min:
-            raise DomainError("x_max must exceed x_min")
-        dx = (float(x_max) - float(x_min)) / int(n)
-        return cls(LINE, int(n), dx, float(x_min),
+        n = int(n)
+        return cls(LINE, n, (float(x_max) - float(x_min)) / max(n, 1), float(x_min),
                    (float(rho_far[0]), float(rho_far[1])),
                    (float(u_far[0]), float(u_far[1])))
 
@@ -78,9 +86,19 @@ class Grid:
         return self.n * self.dx
 
     def _ghosts(self, f, far):
+        """The values just past each edge: wrapped, ``far``, or the edge samples."""
+        if self.is_periodic:
+            return f[-1], f[0]
         if far is None:
             return f[0], f[-1]
         return float(far[0]), float(far[1])
+
+    def _pad(self, f, far=None):
+        """``f`` with its ghost value on either side, as every stencil sees it."""
+        padded = np.empty(self.n + 2)
+        padded[0], padded[-1] = self._ghosts(f, far)
+        padded[1:-1] = f
+        return padded
 
     def ddx(self, f, far=None):
         """Second-order centred derivative.
@@ -88,15 +106,8 @@ class Grid:
         Periodic grids wrap; line grids use constant ghost values (``far`` if
         given, otherwise the edge samples of ``f``).
         """
-        f = np.asarray(f, dtype=float)
-        if self.is_periodic:
-            return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * self.dx)
-        left, right = self._ghosts(f, far)
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * self.dx)
-        out[0] = (f[1] - left) / (2.0 * self.dx)
-        out[-1] = (right - f[-2]) / (2.0 * self.dx)
-        return out
+        padded = self._pad(np.asarray(f, dtype=float), far)
+        return (padded[2:] - padded[:-2]) / (2.0 * self.dx)
 
     def integrate(self, f, far=None):
         """Rectangle-rule integral ``sum(f_i) * dx``.

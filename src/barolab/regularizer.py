@@ -14,12 +14,13 @@ recovering the classical barotropic Euler equations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eos import _check_density
-from .errors import DomainError
+from .errors import _require
 
 CUBIC = "cubic"
 INVERSE = "inverse"
@@ -35,14 +36,16 @@ class Regularizer:
     p: float = 3.0        # power family exponent
 
     def __post_init__(self):
-        if self.kind not in (CUBIC, INVERSE, POWER):
-            raise DomainError(f"unknown regularizer kind {self.kind!r}")
-        if self.epsilon < 0.0:
-            raise DomainError("epsilon must be >= 0")
-        if self.kind == INVERSE and (self.a <= 0.0 or self.rho_bar <= 0.0):
-            raise DomainError("inverse regularizer needs a > 0 and rho_bar > 0")
-        if self.kind == POWER and self.p == 0.0:
-            raise DomainError("power regularizer needs p != 0")
+        inverse = self.kind == INVERSE
+        _require(
+            (self.kind in (CUBIC, INVERSE, POWER),
+             f"kind must be cubic, inverse or power, not {self.kind!r}"),
+            (0.0 <= self.epsilon < math.inf, "epsilon must be >= 0 and finite"),
+            (not inverse or 0.0 < self.a < math.inf, "a must be > 0 and finite"),
+            (not inverse or 0.0 < self.rho_bar < math.inf, "rho_bar must be > 0 and finite"),
+            (self.kind != POWER or (math.isfinite(self.p) and self.p != 0.0),
+             "p must be finite and != 0"),
+        )
 
     @classmethod
     def cubic(cls, epsilon):

@@ -68,6 +68,11 @@ class TestFarFieldFluxes:
         assert (fx.mass, fx.momentum, fx.energy_left, fx.energy_right) == (0, 0, 0, 0)
         assert fx.admissible()
 
+    def test_rejects_far_density_outside_the_domain(self, sw_eos):
+        for rho in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                bl.far_field_fluxes(1.0, 0.0, rho, 0.0, sw_eos)
+
     def test_worked_example(self, sw_eos):
         # gamma = 2, g = 1: V(2) = 1/2, V'(2) = 1
         mass, momentum, energy = bl.equilibrium_fluxes(2.0, 1.0, sw_eos)

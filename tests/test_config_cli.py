@@ -79,6 +79,37 @@ class TestParsing:
         assert "cfll" in text and "epsilon" in text and "t_end" in text
         assert len(err.value.problems) >= 3
 
+    @pytest.mark.parametrize("section, old, new", [
+        ("regularizer", "kind = cubic", "kind = power\np = nan"),
+        ("regularizer", "kind = cubic", "kind = inverse\na = inf"),
+        ("eos", "kind = shallow_water", "kind = shallow_water\ng = inf"),
+        ("eos", "kind = shallow_water", "kind = isentropic\ngamma = nan"),
+        ("grid", "n = 128", "n = 128\ntopology = line\nu_left = nan"),
+        ("grid", "n = 128", "n = 128\ntopology = line\nrho_left = -1"),
+        ("solver", "t_end = 0.05", "t_end = inf"),
+        ("solver", "t_end = 0.05", "t_end = 0.05\nsnapshot_every = -1"),
+    ], ids=["p_nan", "a_inf", "g_inf", "gamma_nan", "u_left_nan", "rho_left_negative",
+            "t_end_inf", "snapshot_every_negative"])
+    def test_broken_domain_rule_names_its_section(self, tmp_path, capsys, section, old, new):
+        text = MINIMAL_RBE.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(p.startswith(f"[{section}] ") for p in err.value.problems), err.value.problems
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"[{section}] " in capsys.readouterr().err
+
+    def test_every_broken_rule_reported_across_sections(self):
+        bad = MINIMAL_RBE.replace("kind = shallow_water",
+                                  "kind = isentropic\nrho_bar = nan\np_bar = -1")
+        bad = bad.replace("n = 128", "n = 128\nlength = inf")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        eos = [p for p in err.value.problems if p.startswith("[eos] ")]
+        assert len(eos) == 1 and "rho_bar must" in eos[0] and "p_bar must" in eos[0]
+        assert any(p.startswith("[grid] length must") for p in err.value.problems)
+
     def test_ghs_on_line_grid_rejected(self):
         bad = MINIMAL_RBE.replace("kind = rbe_run", "kind = ghs_run")
         bad = bad.replace("n = 128", "topology = line\nn = 128")
@@ -166,6 +197,20 @@ class TestExperiments:
         rho_b, u_b = read_snapshot(sorted((tmp_path / "restart").glob("snapshot_*.csv"))[-1], grid)
         assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
         assert np.max(np.abs(u_a - u_b)) <= 1e-12
+
+    def test_line_far_fields_must_match_initial_data(self, tmp_path):
+        text = MINIMAL_RBE.replace(
+            "n = 128", "topology = line\nn = 128\nu_left = 0.05\nu_right = -0.05")
+        text = text.replace("kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+                            "kind = tanh_front\namplitude = 0.05\nwidth = 1.0")
+        code, _ = run_experiment(parse_config(text), tmp_path / "match")
+        assert code == 0
+        bad = text.replace("u_left = 0.05", "u_left = 0.05\nrho_left = 1.2")
+        code, summary = run_experiment(parse_config(bad), tmp_path / "mismatch")
+        assert code == 1
+        assert "left edge" in summary["error"] and "rho_left" in summary["error"]
+        written = json.loads((tmp_path / "mismatch" / "summary.json").read_text())
+        assert written["error"] == summary["error"]
 
     def test_dispersion_study_csv(self, tmp_path):
         text = MINIMAL_RBE.replace("kind = rbe_run", "kind = dispersion_study")

@@ -164,3 +164,18 @@ def test_constructor_validation():
         EquationOfState.isentropic(2.0, rho_bar=0.0)
     with pytest.raises(DomainError):
         EquationOfState.shallow_water(-1.0)
+    inf, nan = float("inf"), float("nan")
+    for gamma, rho_bar, p_bar in ((nan, 1.0, 1.0), (inf, 1.0, 1.0), (2.0, nan, 1.0),
+                                  (2.0, inf, 1.0), (2.0, 1.0, nan), (2.0, 1.0, inf)):
+        with pytest.raises(DomainError):
+            EquationOfState.isentropic(gamma, rho_bar, p_bar)
+    for g, rho_bar in ((nan, 1.0), (inf, 1.0), (1.0, nan), (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            EquationOfState.shallow_water(g, rho_bar)
+    with pytest.raises(DomainError):
+        EquationOfState.isothermal(inf, 1.0)
+    # one error names every broken rule
+    with pytest.raises(DomainError, match="rho_bar.*p_bar.*gamma must be > 0"):
+        EquationOfState.isentropic(nan, rho_bar=-1.0, p_bar=inf)
+    with pytest.raises(DomainError, match="g must be > 0.*rho_bar"):
+        EquationOfState.shallow_water(inf, nan)

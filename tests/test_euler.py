@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import barolab as bl
 from barolab import (
+    DomainError,
     EquationOfState,
     Grid,
     IntegrationError,
@@ -75,6 +76,25 @@ class TestRhs:
             a = bl.step(st, dt, Regularizer.cubic(0.0), sw_eos)
             b = bl.step(st, dt, Regularizer.cubic(0.0), sw_eos, _rhs=classical_rhs)
             assert np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
+
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
+    def test_rhs_and_step_at_65536_cells(self, sw_eos, cubic_reg, topology):
+        # |L| grows like 1/dx^2, so a solve residual bounded by |f| alone fails here
+        n = 65536
+        if topology == "periodic":
+            st = sine_bump_state(Grid.periodic(1.0, n))
+        else:
+            g = Grid.line(-10.0, 10.0, n, rho_far=(1.0, 1.0), u_far=(0.5, 0.5))
+            st = State(0.0, 1.0 + 0.3 * np.exp(-g.x**2), np.full(n, 0.5), g)
+        drho, du = bl.rhs(st, cubic_reg, sw_eos)
+        assert np.all(np.isfinite(drho)) and np.all(np.isfinite(du))
+        if topology == "periodic":
+            assert abs(drho.sum()) <= 1e-12 * np.abs(drho).sum()
+        dt = bl.cfl_dt(st, sw_eos, 0.2)
+        out = bl.step(st, dt, cubic_reg, sw_eos)
+        assert out.t == dt
+        mass = bl.diagnostics(st, cubic_reg, sw_eos).mass
+        assert abs(bl.diagnostics(out, cubic_reg, sw_eos).mass - mass) <= 1e-12 * mass
 
 
 class TestStep:
@@ -303,3 +323,17 @@ class TestBlowupAndReference:
             dists.append(g.integrate(np.abs(res.final.rho - ref.rho)
                                      + np.abs(res.final.u - ref.u)))
         assert dists[0] > dists[1] > dists[2]
+
+
+def test_solver_config_validation():
+    inf, nan = float("inf"), float("nan")
+    for bad in (dict(t_end=0.0), dict(t_end=inf), dict(t_end=nan), dict(cfl=0.0),
+                dict(cfl=1.5), dict(cfl=nan), dict(blowup_factor=-1.0),
+                dict(blowup_factor=nan), dict(blowup_threshold=0.0),
+                dict(blowup_threshold=nan), dict(snapshot_every=-1)):
+        with pytest.raises(DomainError):
+            SolverConfig(**{"t_end": 1.0, **bad})
+    # one error names every broken rule
+    with pytest.raises(DomainError, match="t_end.*blowup_factor.*snapshot_every"):
+        SolverConfig(t_end=inf, blowup_factor=-1.0, snapshot_every=-1)
+    assert SolverConfig(t_end=1.0, blowup_threshold=inf).blowup_threshold == inf

@@ -127,3 +127,21 @@ def test_grid_validation():
         Grid.periodic(-1.0, 64)
     with pytest.raises(DomainError):
         Grid.line(1.0, 0.0, 64)
+    inf, nan = float("inf"), float("nan")
+    for length in (nan, inf):
+        with pytest.raises(DomainError):
+            Grid.periodic(length, 64)
+    for x_min, x_max in ((-inf, 1.0), (0.0, inf), (nan, 1.0), (0.0, nan)):
+        with pytest.raises(DomainError):
+            Grid.line(x_min, x_max, 64)
+    for rho_far in ((nan, 1.0), (1.0, inf), (-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            Grid.line(0.0, 1.0, 64, rho_far=rho_far)
+    for u_far in ((nan, 0.0), (0.0, -inf)):
+        with pytest.raises(DomainError):
+            Grid.line(0.0, 1.0, 64, u_far=u_far)
+    # one error names every broken rule, and n = 0 is a domain error too
+    with pytest.raises(DomainError, match="n must be >= 8.*length"):
+        Grid.periodic(-1.0, 0)
+    with pytest.raises(DomainError, match="x_max.*rho_left.*u_left"):
+        Grid.line(0.0, -1.0, 64, rho_far=(nan, 1.0), u_far=(inf, 0.0))

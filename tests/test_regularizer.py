@@ -51,6 +51,16 @@ class TestDerivatives:
             Regularizer.power(0.1, 0.0)
         with pytest.raises(DomainError):
             Regularizer.cubic(0.1).derivatives(-1.0)
+        inf, nan = float("inf"), float("nan")
+        for bad in (lambda: Regularizer.cubic(nan), lambda: Regularizer.cubic(inf),
+                    lambda: Regularizer.inverse(0.1, nan), lambda: Regularizer.inverse(0.1, inf),
+                    lambda: Regularizer.inverse(0.1, 1.0, rho_bar=nan),
+                    lambda: Regularizer.power(0.1, nan), lambda: Regularizer.power(0.1, inf)):
+            with pytest.raises(DomainError):
+                bad()
+        # one error names every broken rule
+        with pytest.raises(DomainError, match="epsilon must be >= 0.*a must be > 0"):
+            Regularizer.inverse(-1.0, nan)
 
 
 class TestCompositeCoefficients:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from barolab import (
     DomainError,
     Grid,
+    NumericalBreakdownError,
     Regularizer,
     SLSystem,
     VacuumError,
@@ -13,6 +16,7 @@ from barolab import (
     mass_coordinate,
 )
 from barolab.regularizer import composite_coefficients
+from barolab.sturm_liouville import RESIDUAL_TOL
 from conftest import observed_order
 
 UNIT_SLOPE = Regularizer.power(0.5, 1.0)  # A = rho, A' = 1; eps = 1/2 makes L = rho - d2
@@ -104,6 +108,34 @@ class TestSolve:
             f = smooth_random_field(g, rng)
             u = sys.solve(f, far=far)
             assert np.max(np.abs(sys.apply(u, far=far) - f)) <= 1e-10 * np.max(np.abs(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(topology=st.sampled_from(["periodic", "line"]), log2_n=st.floats(3.0, 12.0),
+           log_eps=st.floats(-6.0, 1.0), contrast=st.floats(1.0, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_backward_stable_maximum_principle(self, topology, log2_n, log_eps,
+                                                         contrast, seed):
+        rng = np.random.default_rng(seed)
+        n = int(2.0**log2_n)  # 8 to 4096 cells, spread evenly over the octaves
+        g = unit_grid(topology, n)
+        rho = contrast ** rng.random(n)  # rough density, max/min <= contrast
+        sys = SLSystem(g, rho, Regularizer.cubic(10.0**log_eps))
+        norm = np.max(2.0 * sys.diagonal - rho)  # largest absolute row sum
+        x, y, f = rng.standard_normal((3, n))
+        zero = (0.0, 0.0)  # zero line ghosts: apply is then the plain matrix product
+        asym = abs(x @ sys.apply(y, far=zero) - y @ sys.apply(x, far=zero))
+        assert asym <= 4 * n * np.finfo(float).eps * norm * np.linalg.norm(x) * np.linalg.norm(y)
+        u = sys.solve(f, far=zero)
+        residual = np.max(np.abs(sys.apply(u, far=zero) - f))
+        assert residual <= RESIDUAL_TOL * (norm * np.max(np.abs(u)) + np.max(np.abs(f)))
+        assert np.max(np.abs(u)) <= np.max(np.abs(f)) / np.min(rho) * (1 + 1e-12)
+
+    def test_guard_catches_a_degraded_factorization(self, cubic_reg):
+        g = Grid.periodic(1.0, 200)
+        sys = SLSystem(g, 1.3 + 0.9 * np.sin(2 * np.pi * g.x), cubic_reg)
+        sys._factor = 1.01 * sys._factor  # factors 1.0201 L instead of L
+        with pytest.raises(NumericalBreakdownError):
+            sys.solve(np.cos(2 * np.pi * g.x))
 
     def test_maximum_principle(self, cubic_reg):
         rng = np.random.default_rng(17)
