@@ -9,6 +9,7 @@ problems at once.  The full grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ EXPERIMENT_KINDS = (
     "epsilon_sweep", "convergence_study",
 )
 INITIAL_KINDS = ("constant", "sine", "sine_bump", "gaussian_bump", "tanh_front", "file")
+_PERIODIC_KINDS = ("ghs_run", "epsilon_sweep", "convergence_study")
 
 # section -> key -> (converter, default); defaults of None mean "not set"
 _SCHEMA = {
@@ -98,6 +100,7 @@ class ExperimentConfig:
     eos: EquationOfState
     regularizer: Regularizer
     solver: SolverConfig
+    grid: Grid
     values: dict = field(default_factory=dict)  # per-section raw (typed) values
 
     def __getitem__(self, section):
@@ -148,10 +151,12 @@ def parse_config(text):
             built[section] = build(values)
         except DomainError as exc:
             problems.append(f"[{section}] {exc}")
+            if section == "eos":
+                values["eos"]["rho_bar"] = _SCHEMA["eos"]["rho_bar"][1]
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(values["experiment"]["kind"], built["eos"],
-                            built["regularizer"], built["solver"], values)
+    return ExperimentConfig(values["experiment"]["kind"], built["eos"], built["regularizer"],
+                            built["solver"], built["grid"], values)
 
 
 def _validate(v):
@@ -163,8 +168,8 @@ def _validate(v):
     elif kind not in EXPERIMENT_KINDS:
         problems.append(f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}")
 
-    if kind == "ghs_run" and v["grid"]["topology"] != "periodic":
-        problems.append("[grid] topology must be periodic for ghs_run")
+    if kind in _PERIODIC_KINDS and v["grid"]["topology"] != "periodic":
+        problems.append(f"[grid] topology must be periodic for {kind}")
 
     i = v["initial"]
     if i["kind"] not in INITIAL_KINDS:
@@ -175,8 +180,8 @@ def _validate(v):
         problems.append("[initial] width must be > 0")
     if i["mode"] < 1:
         problems.append("[initial] mode must be >= 1")
-    if i["rho_value"] is not None and not i["rho_value"] > 0.0:
-        problems.append("[initial] rho_value must be > 0")
+    if i["rho_value"] is not None and not 0.0 < i["rho_value"] < math.inf:
+        problems.append("[initial] rho_value must be > 0 and finite")
 
     if v["solver"]["on_blowup"] not in ("report", "fail"):
         problems.append("[solver] on_blowup must be report or fail")
@@ -197,7 +202,8 @@ def _validate(v):
 
 
 # Each builder reads only the typed values, so that one broken section does
-# not hide the problems of another; rho_bar comes from the [eos] values.
+# not hide the problems of another; rho_bar comes from the [eos] values, or
+# from the schema default once [eos] has reported it broken.
 
 def _build_eos(v):
     e = v["eos"]

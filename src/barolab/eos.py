@@ -21,16 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require
+from .errors import DomainError, VacuumError, _require
 
 ISENTROPIC = "isentropic"
 ISOTHERMAL = "isothermal"
 
 
 def _check_density(rho):
+    """The one density rule: finite (else DomainError) and > 0 (else VacuumError)."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-        raise DomainError("density must be positive and finite")
+    if not np.all(np.isfinite(rho)):
+        raise DomainError("density contains NaN or Inf")
+    if np.any(rho <= 0.0):
+        raise VacuumError("density reached vacuum")
     return rho
 
 

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, VacuumError, _require
+from .eos import _check_density
+from .errors import DomainError, IntegrationError, _require
 from .grid import require_finite
 from .regularizer import composite_coefficients
 from .sturm_liouville import SLSystem
@@ -49,21 +51,11 @@ class State:
     grid: object
 
     def validate(self):
-        rho = require_finite(self.rho, "density")
-        require_finite(self.u, "velocity")
-        if rho.shape != (self.grid.n,) or self.u.shape != (self.grid.n,):
+        rho = _check_density(self.rho)
+        u = require_finite(self.u, "velocity")
+        if rho.shape != (self.grid.n,) or u.shape != (self.grid.n,):
             raise DomainError("field shapes do not match the grid")
-        if np.min(rho) <= 0.0:
-            raise VacuumError("density reached vacuum")
         return self
-
-    def rho_u_far(self):
-        """Far-field values of (rho, u, rho*u) on line grids, else None."""
-        g = self.grid
-        if g.is_periodic:
-            return None, None, None
-        q_far = (g.rho_far[0] * g.u_far[0], g.rho_far[1] * g.u_far[1])
-        return g.rho_far, g.u_far, q_far
 
 
 @dataclass(frozen=True)
@@ -104,11 +96,15 @@ class RunResult:
     steps: int = 0
 
 
+def _gradients(state):
+    """``(u_x, rho_x)``, each continued past the edges by its far-field values."""
+    grid = state.grid
+    return grid.ddx(state.u, far=grid.u_far), grid.ddx(state.rho, far=grid.rho_far)
+
+
 def reg_source(state, reg, eos):
     """The squared-gradient source ``psi = c_u u_x^2 + c_rho rho_x^2``."""
-    rho_far, u_far, _ = state.rho_u_far()
-    ux = state.grid.ddx(state.u, far=u_far)
-    rx = state.grid.ddx(state.rho, far=rho_far)
+    ux, rx = _gradients(state)
     c_u, c_rho = composite_coefficients(reg, eos, state.rho)
     return c_u * ux**2 + c_rho * rx**2
 
@@ -117,10 +113,9 @@ def rhs(state, reg, eos):
     """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``."""
     grid = state.grid
     rho, u = state.rho, state.u
-    rho_far, u_far, q_far = state.rho_u_far()
-    drho = -grid.ddx(rho * u, far=q_far)
-    p_far = None if grid.is_periodic else tuple(float(eos.pressure(r)) for r in rho_far)
-    du = -u * grid.ddx(u, far=u_far) - grid.ddx(eos.pressure(rho), far=p_far) / rho
+    drho = -grid.ddx(rho * u, far=grid._far(mul))
+    p_far = grid._far(lambda r, _: eos.pressure(r))
+    du = -u * grid.ddx(u, far=grid.u_far) - grid.ddx(eos.pressure(rho), far=p_far) / rho
     if reg.epsilon > 0.0:
         psi = reg_source(state, reg, eos)
         du = du - reg.epsilon * SLSystem(grid, rho, reg).solve_dx(psi)
@@ -166,9 +161,7 @@ def step(state, dt, reg, eos, _rhs=None):
 
 def energy_density(state, reg, eos):
     """Pointwise integrand of the conserved energy."""
-    rho_far, u_far, _ = state.rho_u_far()
-    ux = state.grid.ddx(state.u, far=u_far)
-    rx = state.grid.ddx(state.rho, far=rho_far)
+    ux, rx = _gradients(state)
     da = reg.slope(state.rho)
     _, v2, _ = eos.potential_derivatives(state.rho)
     eps = reg.epsilon
@@ -181,34 +174,23 @@ def momentum_field(state, reg):
 
     This is exactly the assembled operator applied to the velocity.
     """
-    return SLSystem(state.grid, state.rho, reg).apply(
-        state.u, far=None if state.grid.is_periodic else state.grid.u_far)
+    return SLSystem(state.grid, state.rho, reg).apply(state.u, far=state.grid.u_far)
 
 
 def sup_gradient(state):
-    rho_far, u_far, _ = state.rho_u_far()
-    return max(
-        np.max(np.abs(state.grid.ddx(state.rho, far=rho_far))),
-        np.max(np.abs(state.grid.ddx(state.u, far=u_far))),
-    )
+    ux, rx = _gradients(state)
+    return max(np.max(np.abs(rx)), np.max(np.abs(ux)))
 
 
 def diagnostics(state, reg, eos, with_momentum_field=False):
     """Energy, mass, total momentum and gradient sup-norm of a state."""
     grid = state.grid
-    rho_far, u_far, q_far = state.rho_u_far()
     e = energy_density(state, reg, eos)
-    if grid.is_periodic:
-        e_far = None
-    else:
-        e_far = tuple(
-            0.5 * r * v**2 + float(eos.potential(r))
-            for r, v in zip(rho_far, u_far)
-        )
+    e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos.potential(r))
     return Diagnostics(
         energy=grid.integrate(e, far=e_far),
-        mass=grid.integrate(state.rho, far=rho_far),
-        momentum=grid.integrate(state.rho * state.u, far=q_far),
+        mass=grid.integrate(state.rho, far=grid.rho_far),
+        momentum=grid.integrate(state.rho * state.u, far=grid._far(mul)),
         sup_wx=sup_gradient(state),
         m=momentum_field(state, reg) if with_momentum_field else None,
     )
@@ -241,7 +223,7 @@ def _drive(initial, config, eos, advance, row):
             result.blowup = True
             result.blowup_time = state.t
             break
-        if not boundary_warned and not state.grid.is_periodic:
+        if not boundary_warned:
             boundary_warned = state.grid.check_boundary(
                 state.rho, state.grid.rho_far, "density")
     if result.snapshots[-1][0] != state.t:
@@ -271,37 +253,37 @@ def rusanov_rhs(state, eos):
 
     Works on the conservative pair ``(rho, q = rho u)``; periodic grids only.
     """
-    grid = state.grid
+    pad = state.grid._pad
     rho, u = state.rho, state.u
     q = rho * u
-    p = eos.pressure(rho)
-    f_rho, f_q = q, q * u + p
-    a = np.abs(u) + eos.sound_speed(rho)
-    # interface i+1/2 between cell i and i+1 (wrapping)
-    rho_r, q_r = np.roll(rho, -1), np.roll(q, -1)
-    a_face = np.maximum(a, np.roll(a, -1))
-    flux_rho = 0.5 * (f_rho + np.roll(f_rho, -1)) - 0.5 * a_face * (rho_r - rho)
-    flux_q = 0.5 * (f_q + np.roll(f_q, -1)) - 0.5 * a_face * (q_r - q)
-    drho = -(flux_rho - np.roll(flux_rho, 1)) / grid.dx
-    dq = -(flux_q - np.roll(flux_q, 1)) / grid.dx
+    f_q = q * u + eos.pressure(rho)
+    a = pad(np.abs(u) + eos.sound_speed(rho))
+    rho_p, q_p, fq_p = pad(rho), pad(q), pad(f_q)
+    # face j lies between cells j-1 and j
+    a_face = np.maximum(a[:-1], a[1:])
+    flux_rho = 0.5 * (q_p[:-1] + q_p[1:]) - 0.5 * a_face * (rho_p[1:] - rho_p[:-1])
+    flux_q = 0.5 * (fq_p[:-1] + fq_p[1:]) - 0.5 * a_face * (q_p[1:] - q_p[:-1])
+    drho = -(flux_rho[1:] - flux_rho[:-1]) / state.grid.dx
+    dq = -(flux_q[1:] - flux_q[:-1]) / state.grid.dx
     return drho, dq
 
 
 def rusanov_run(initial, t_end_rel, eos, cfl=0.4):
-    """Forward-Euler Rusanov run; returns the final state."""
+    """Forward-Euler Rusanov run; returns the final state (``q = rho u`` is carried)."""
     state = initial.validate()
     if not state.grid.is_periodic:
         raise DomainError("the classical reference runs on periodic grids")
     t_end = state.t + t_end_rel
-    rho, q = state.rho.copy(), state.rho * state.u
-    t = state.t
+    rho, q, t = state.rho, state.rho * state.u, state.t
+    cur = State(t, rho, q / rho, state.grid)
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        cur = State(t, rho, q / rho, state.grid)
         dt = min(cfl_dt(cur, eos, cfl), t_end - t)
         drho, dq = rusanov_rhs(cur, eos)
         rho = rho + dt * drho
         q = q + dt * dq
         t += dt
-        if np.min(rho) <= 0.0 or not np.all(np.isfinite(rho)) or not np.all(np.isfinite(q)):
-            raise IntegrationError("classical reference lost positivity", t)
-    return State(t, rho, q / rho, state.grid).validate()
+        try:
+            cur = State(t, rho, q / rho, state.grid).validate()
+        except DomainError as exc:
+            raise IntegrationError(str(exc), t) from exc
+    return cur

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import build_grid, build_initial, study_epsilons, study_modes, study_resolutions
+from .config import build_initial, study_epsilons, study_modes, study_resolutions
 from .errors import ConfigError, DomainError, IntegrationError
 from .euler import State, momentum_field, reg_source, run, rusanov_run, step
 from .sturm_liouville import SLSystem
@@ -115,7 +115,7 @@ def _run_time_series(config, outdir):
     regularizing flux ``R``; ``ghs_run`` snapshots carry ``rho*u`` and no
     ``R``, and its summary has no momentum drift.
     """
-    grid = build_grid(config)
+    grid = config.grid
     rho0, u0 = build_initial(config, grid)
     reg, eos = config.regularizer, config.eos
     is_ghs = config.kind == "ghs_run"
@@ -191,8 +191,7 @@ def _run_steady_profile(config, outdir):
 
 
 def _run_epsilon_sweep(config, outdir):
-    eos = config.eos
-    grid = build_grid(config)
+    eos, grid = config.eos, config.grid
     rho0, u0 = build_initial(config, grid)
     initial = State(0.0, rho0, u0, grid)
     t_end = config["solver"]["t_end"]
@@ -242,8 +241,7 @@ def _run_convergence(config, outdir):
             stride = ref_n // n
             errs.append(float(np.max(np.abs(finals[n].rho - finals[ref_n].rho[::stride]))))
     else:
-        grid = Grid.periodic(config["grid"]["length"], config["grid"]["n"])
-        initial = make_state(grid)
+        initial = make_state(config.grid)
         ref = _fixed_dt_advance(initial, t_end, 8 * max(resolutions), reg, eos, stepper)
         for steps in resolutions:
             final = _fixed_dt_advance(initial, t_end, steps, reg, eos, stepper)

@@ -3,7 +3,8 @@
 A field is a plain ``numpy`` array of ``n`` samples attached to a :class:`Grid`.
 Nodes sit at ``x_i = x_min + i*dx`` (``i = 0 .. n-1``); a periodic grid covers
 ``[0, L)`` and a line grid covers ``[x_min, x_max)`` together with constant
-far-field values that extend every field past the edges.
+far-field values that extend every field past the edges.  The grid alone
+decides how a field continues past its edges (``_ghosts``, ``_pad``, ``_far``).
 
 All stencils are second-order centred: the regularized systems integrated on
 these grids are non-dispersive and smooth up to blow-up, so a uniform O(dx^2)
@@ -99,6 +100,12 @@ class Grid:
         padded[0], padded[-1] = self._ghosts(f, far)
         padded[1:-1] = f
         return padded
+
+    def _far(self, value):
+        """``value(rho, u)`` at the two far states, or None on a periodic grid."""
+        if self.is_periodic:
+            return None
+        return tuple(value(r, v) for r, v in zip(self.rho_far, self.u_far))
 
     def ddx(self, f, far=None):
         """Second-order centred derivative.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .euler import State, _drive, _rk4, sup_gradient
+from .euler import State, _drive, _gradients, _rk4, sup_gradient
 from .grid import require_finite
 
 
@@ -60,9 +60,7 @@ class GhsState(State):
 
 def ghs_source(state, reg, eos):
     """The squared-gradient source of the velocity equation."""
-    grid = state.grid
-    ux = grid.ddx(state.u)
-    rx = grid.ddx(state.rho)
+    ux, rx = _gradients(state)
     _, da, d2a, _ = reg.derivatives(state.rho)
     _, v2, v3 = eos.potential_derivatives(state.rho)
     coeff_u = 1.0 + (state.rho * d2a) / (2.0 * da)
@@ -84,12 +82,10 @@ def ghs_rhs(state, reg, eos):
 
 def ghs_energy(state, reg, eos):
     """Gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
-    grid = state.grid
-    ux = grid.ddx(state.u)
-    rx = grid.ddx(state.rho)
+    ux, rx = _gradients(state)
     da = reg.slope(state.rho)
     _, v2, _ = eos.potential_derivatives(state.rho)
-    return grid.integrate(state.rho * da * ux**2 + da * v2 * rx**2)
+    return state.grid.integrate(state.rho * da * ux**2 + da * v2 * rx**2)
 
 
 def ghs_step(state, dt, reg, eos):
@@ -131,8 +127,8 @@ def vwe_rhs(upsilon, grid, eos):
     """Second time derivative ``c^2 v_xx + c c' v_x^2`` on a periodic grid."""
     upsilon = require_finite(upsilon, "specific volume")
     c, ccp = lagrangian_speed(upsilon, eos)
-    dxi = grid.dx
-    vxx = (np.roll(upsilon, -1) - 2.0 * upsilon + np.roll(upsilon, 1)) / dxi**2
+    padded = grid._pad(upsilon)
+    vxx = (padded[2:] - 2.0 * upsilon + padded[:-2]) / grid.dx**2
     vx = grid.ddx(upsilon)
     return c**2 * vxx + ccp * vx**2
 

@@ -90,9 +90,8 @@ def composite_coefficients(reg, eos, rho):
     * ``c_rho = (rho V''/A')' A'^2 = (V'' + rho V''') A' - rho V'' A''``
 
     ``c_rho`` may be negative (it is ``-g*rho**2/2`` for the cubic family with
-    the shallow-water law).
+    the shallow-water law).  The density is checked by the two callees.
     """
-    rho = _check_density(rho)
     _, da, d2a, _ = reg.derivatives(rho)
     _, v2, v3 = eos.potential_derivatives(rho)
     c_u = 2.0 * rho * da + rho**2 * d2a

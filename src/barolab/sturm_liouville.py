@@ -7,16 +7,17 @@ self-adjointness that makes the operator coercive for positive ``rho``):
     (L u)_i = rho_i u_i - (2 eps / dx^2) * (k_{i+1/2} (u_{i+1} - u_i)
                                             - k_{i-1/2} (u_i - u_{i-1}))
 
-with ``k = rho * A'``.  Periodic grids give a cyclic tridiagonal system solved
-directly through a rank-1 (Sherman-Morrison) correction of a plain banded
-Cholesky factorization; line grids are the same system with a zero corner,
-closed with the far-field constants as Dirichlet ghost data.  Every solve
-checks its normwise backward error ``|L u - f| <= RESIDUAL_TOL (|L| |u| + |f|)``
-in the infinity norm (Higham, *Accuracy and Stability of Numerical
-Algorithms*, section 7.1), with ``|L|`` the largest row sum
-``rho + 2c (k_{i+1/2} + k_{i-1/2})``, ``c = 2 eps/dx^2``.  The bound grows with
-``|L| ~ 1/dx^2`` as a backward-stable solve's residual does, so it holds on
-fine grids and still catches a factorization that silently degraded.
+with ``k = rho * A'``, whose face values come from the grid's ghosts of ``k``.
+Periodic grids give a cyclic tridiagonal system solved directly through a
+rank-1 (Sherman-Morrison) correction of a plain banded Cholesky factorization;
+line grids are the same system with a zero corner, closed with the far-field
+constants as Dirichlet ghost data.  Every solve checks its normwise backward
+error ``|L u - f| <= RESIDUAL_TOL (|L| |u| + |f|)`` in the infinity norm
+(Higham, *Accuracy and Stability of Numerical Algorithms*, section 7.1), with
+``|L|`` the largest row sum ``rho + 2c (k_{i+1/2} + k_{i-1/2})``,
+``c = 2 eps/dx^2``.  The bound grows with ``|L| ~ 1/dx^2`` as a backward-stable
+solve's residual does, so it holds on fine grids and still catches a
+factorization that silently degraded.
 
 Three derived operations are provided on top of the inverse:
 
@@ -37,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import DomainError, NumericalBreakdownError, VacuumError
-from .grid import require_finite
+from .eos import _check_density
+from .errors import DomainError, NumericalBreakdownError
 from .regularizer import INVERSE
 
 RESIDUAL_TOL = 1e-10
@@ -53,27 +54,20 @@ class SLSystem:
     """
 
     def __init__(self, grid, rho, reg):
-        rho = require_finite(rho, "density")
+        rho = _check_density(rho)
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
-        if np.min(rho) <= 0.0:
-            raise VacuumError("density must stay positive to assemble the operator")
         self.grid = grid
         self.rho = rho
         self.eps = float(reg.epsilon)
         self.kappa = rho * reg.slope(rho)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
-        # k_face[j] couples cells j-1 and j; the outer faces wrap on a periodic
-        # grid and face the far field (Dirichlet ghosts) on a line grid
-        k_face = np.empty(grid.n + 1)
-        k_face[1:-1] = 0.5 * (self.kappa[:-1] + self.kappa[1:])
-        if grid.is_periodic:
-            k_face[0] = k_face[-1] = 0.5 * (self.kappa[-1] + self.kappa[0])
-            self._corner = -c * k_face[0]  # entry (0, n-1) of the cyclic matrix
-        else:
-            k_face[0], k_face[-1] = self.kappa[0], self.kappa[-1]
-            self._corner = 0.0
+        # k_face[j] couples cells j-1 and j
+        padded = grid._pad(self.kappa)
+        k_face = 0.5 * (padded[:-1] + padded[1:])
+        # entry (0, n-1) of the cyclic matrix; a line grid has none
+        self._corner = -c * k_face[0] if grid.is_periodic else 0.0
         self._k_face = k_face
         off = c * (k_face[1:] + k_face[:-1])  # |off-diagonal| sum of each row
         diag = rho + off
@@ -129,12 +123,11 @@ class SLSystem:
             )
         return u
 
-    def solve_dx(self, psi, far=None):
+    def solve_dx(self, psi):
         """``L^{-1} d(psi)/dx``, implemented as the plain composition."""
-        dpsi = self.grid.ddx(psi, far=far)
-        return self.solve(dpsi, far=None if self.grid.is_periodic else (0.0, 0.0))
+        return self.solve(self.grid.ddx(psi), far=(0.0, 0.0))
 
-    def smooth(self, psi, far=None):
+    def smooth(self, psi):
         """Flux form of the regularizing term: ``psi + 2 eps rho A' d/dx solve_dx(psi)``.
 
         Reduces to the identity for ``eps = 0`` and fixes constant fields.
@@ -142,8 +135,8 @@ class SLSystem:
         psi = np.asarray(psi, dtype=float)
         if self.eps == 0.0:
             return psi.copy()
-        w = self.solve_dx(psi, far=far)
-        dw = self.grid.ddx(w, far=None if self.grid.is_periodic else (0.0, 0.0))
+        w = self.solve_dx(psi)
+        dw = self.grid.ddx(w, far=(0.0, 0.0))
         return psi + 2.0 * self.eps * self.kappa * dw
 
 
@@ -184,7 +177,7 @@ def inverse_family_flux(rho_xi, dxi, eos, reg):
         raise DomainError("the convolution route is defined for the inverse family only")
     if reg.epsilon <= 0.0:
         raise DomainError("the convolution route needs epsilon > 0")
-    rho_xi = require_finite(rho_xi, "density profile")
+    rho_xi = _check_density(rho_xi)
     width = np.sqrt(2.0 * reg.epsilon * reg.a * reg.rho_bar)
     drho = np.empty_like(rho_xi)
     drho[1:-1] = (rho_xi[2:] - rho_xi[:-2]) / (2.0 * dxi)

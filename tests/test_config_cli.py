@@ -117,6 +117,44 @@ class TestParsing:
             parse_config(bad)
         assert any("periodic" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("kind", ["ghs_run", "epsilon_sweep", "convergence_study"])
+    def test_periodic_only_kinds_reject_a_line_grid(self, kind):
+        bad = MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}")
+        bad = bad.replace("n = 128", "topology = line\nn = 128")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert err.value.problems == [f"[grid] topology must be periodic for {kind}"]
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_constant_density_must_be_positive_and_finite(self, value):
+        bad = MINIMAL_RBE.replace("kind = sine_bump", f"kind = constant\nrho_value = {value}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert err.value.problems == ["[initial] rho_value must be > 0 and finite"]
+
+    @pytest.mark.parametrize("rho_bar", ["nan", "inf", "0"])
+    def test_broken_rho_bar_reported_once(self, rho_bar):
+        # the line far densities and the inverse family default to rho_bar
+        bad = (MINIMAL_RBE
+               .replace("kind = shallow_water", f"kind = shallow_water\nrho_bar = {rho_bar}")
+               .replace("kind = cubic", "kind = inverse")
+               .replace("n = 128", "topology = line\nn = 128"))
+        broken = "[eos] rho_bar must be > 0 and finite"
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert err.value.problems == [broken]
+        # the dependent sections still check their own keys
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad.replace("epsilon = 0.1", "epsilon = 0.1\na = -1"))
+        assert err.value.problems == [broken, "[regularizer] a must be > 0 and finite"]
+
+    def test_parsed_config_keeps_its_grid(self):
+        cfg = parse_config(MINIMAL_RBE.replace("n = 128", "topology = line\nn = 128"))
+        grid = build_grid(cfg)
+        assert (cfg.grid.topology, cfg.grid.n, cfg.grid.dx, cfg.grid.x_min) == \
+            (grid.topology, grid.n, grid.dx, grid.x_min)
+        assert (cfg.grid.rho_far, cfg.grid.u_far) == (grid.rho_far, grid.u_far)
+
     def test_nonpositive_constant_density_rejected(self):
         bad = MINIMAL_RBE.replace("kind = sine_bump", "kind = constant\nrho_value = -1")
         with pytest.raises(ConfigError) as err:

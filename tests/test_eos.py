@@ -2,10 +2,34 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from barolab import DomainError, EquationOfState
+from barolab import (
+    DomainError,
+    EquationOfState,
+    Grid,
+    Regularizer,
+    SLSystem,
+    State,
+    VacuumError,
+    composite_coefficients,
+    inverse_family_flux,
+)
 
 GAMMA2 = EquationOfState.isentropic(2.0, 1.0, 0.5)
 ISO = EquationOfState.isothermal(1.0, 1.0)
+GRID16 = Grid.periodic(1.0, 16)
+CUBIC = Regularizer.cubic(0.1)
+
+# every public function that takes a density, called on a 16-cell field
+DENSITY_TAKERS = {
+    "pressure": lambda rho: GAMMA2.pressure(rho),
+    "potential_derivatives": lambda rho: GAMMA2.potential_derivatives(rho),
+    "Regularizer.derivatives": lambda rho: CUBIC.derivatives(rho),
+    "composite_coefficients": lambda rho: composite_coefficients(CUBIC, GAMMA2, rho),
+    "SLSystem": lambda rho: SLSystem(GRID16, rho, CUBIC),
+    "State.validate": lambda rho: State(0.0, rho, np.zeros(16), GRID16).validate(),
+    "inverse_family_flux": lambda rho: inverse_family_flux(
+        rho, 0.1, GAMMA2, Regularizer.inverse(0.1)),
+}
 
 
 def quad_enthalpy(eos, rho):
@@ -36,6 +60,18 @@ class TestPressure:
         for bad in (0.0, -1.0, np.array([1.0, -2.0])):
             with pytest.raises(DomainError):
                 GAMMA2.pressure(bad)
+
+
+@pytest.mark.parametrize("take", DENSITY_TAKERS.values(), ids=list(DENSITY_TAKERS))
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_one_density_rule(take, bad):
+    # a density <= 0 is vacuum; NaN or Inf is a plain domain error
+    rho = np.ones(16)
+    rho[5] = bad
+    with pytest.raises(DomainError) as err:
+        take(rho)
+    assert isinstance(err.value, VacuumError) == (bad == 0.0)
+    take(np.ones(16))
 
 
 class TestEnthalpy:

@@ -11,6 +11,7 @@ from barolab import (
     Regularizer,
     SolverConfig,
     State,
+    VacuumError,
 )
 from conftest import observed_order
 
@@ -298,6 +299,29 @@ class TestBlowupAndReference:
         out = bl.rusanov_run(st, 0.5, sw_eos)  # runs through shock formation
         assert np.all(np.isfinite(out.rho)) and np.min(out.rho) > 0
         assert g.integrate(out.rho) == pytest.approx(1.0, rel=1e-12)
+
+    def test_rusanov_vacuum_is_an_integration_error(self, sw_eos):
+        g = Grid.periodic(1.0, 256)
+        st = State(0.0, np.ones(256), 3.0 * np.sin(2 * np.pi * g.x), g)
+        with pytest.raises(IntegrationError) as err:
+            bl.rusanov_run(st, 1.0, sw_eos, cfl=1.5)
+        assert err.value.t == pytest.approx(0.04091, abs=5e-6)
+        assert isinstance(err.value.__cause__, VacuumError)
+
+    def test_rusanov_rhs_equals_the_roll_formula(self, sw_eos):
+        # the padded-slice stencil must reproduce the wrapped one bit for bit
+        rng = np.random.default_rng(5)
+        g = Grid.periodic(1.0, 97)
+        rho, u = rng.uniform(0.5, 2.0, g.n), rng.uniform(-1.0, 1.0, g.n)
+        q = rho * u
+        f_q = q * u + sw_eos.pressure(rho)
+        a = np.abs(u) + sw_eos.sound_speed(rho)
+        a_face = np.maximum(a, np.roll(a, -1))
+        flux_rho = 0.5 * (q + np.roll(q, -1)) - 0.5 * a_face * (np.roll(rho, -1) - rho)
+        flux_q = 0.5 * (f_q + np.roll(f_q, -1)) - 0.5 * a_face * (np.roll(q, -1) - q)
+        drho, dq = bl.euler.rusanov_rhs(State(0.0, rho, u, g), sw_eos)
+        assert np.array_equal(drho, -(flux_rho - np.roll(flux_rho, 1)) / g.dx)
+        assert np.array_equal(dq, -(flux_q - np.roll(flux_q, 1)) / g.dx)
 
     def test_line_grid_run_and_contamination_warning(self, sw_eos, cubic_reg):
         import warnings

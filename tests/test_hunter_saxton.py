@@ -222,6 +222,15 @@ class TestVariationalWaveEquation:
         assert errs_c2[0] / errs_c2[1] > 3.0 or errs_c2[0] < 1e-10
         assert errs_ccp[0] / errs_ccp[1] > 2.5 or errs_ccp[0] < 1e-8
 
+    def test_rhs_equals_the_roll_formula(self, sw_eos):
+        # the padded-slice stencil must reproduce the wrapped one bit for bit
+        g = Grid.periodic(2.0, 97)
+        v = np.random.default_rng(9).uniform(0.5, 1.5, g.n)
+        c, ccp = bl.hunter_saxton.lagrangian_speed(v, sw_eos)
+        vxx = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / g.dx**2
+        vx = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * g.dx)
+        assert np.array_equal(bl.vwe_rhs(v, g, sw_eos), c**2 * vxx + ccp * vx**2)
+
     def test_loss_of_hyperbolicity_raises(self):
         class BadLaw:
             def potential_derivatives(self, rho):
