@@ -14,7 +14,6 @@ from .analysis import (
     integrate_steady_profile,
     measured_phase_speed,
     phase_speed,
-    phase_speed_two_function,
     sonic_density,
     steady_ode_rhs,
 )

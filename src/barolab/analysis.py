@@ -37,28 +37,13 @@ SONIC_PROXIMITY = 1e-6  # stop the profile integration at |D| below this fractio
 
 # -- dispersion ---------------------------------------------------------------
 
-def phase_speed(eos, reg=None, k=None):
+def phase_speed(eos):
     """Theoretical phase speed ``sqrt(rho_bar * V''(rho_bar))``.
 
-    Independent of both the wavenumber and the regularization; the arguments
-    are accepted so call sites read like the measurement below.
+    Independent of both the wavenumber and the regularization.
     """
     _, v2, _ = eos.potential_derivatives(eos.rho_bar)
     return float(np.sqrt(eos.rho_bar * v2))
-
-
-def phase_speed_two_function(eos, k, epsilon, slope_a, slope_b):
-    """General dispersion relation when the two quadratic-energy terms differ.
-
-    ``omega/k = sqrt(rho_bar V'' (1 + 2 eps k^2 slope_b)/(1 + 2 eps k^2 slope_a))``;
-    collapses to :func:`phase_speed` when ``slope_b == slope_a``.  Exposed for
-    documentation plots only.
-    """
-    _, v2, _ = eos.potential_derivatives(eos.rho_bar)
-    k = np.asarray(k, dtype=float)
-    return np.sqrt(eos.rho_bar * v2
-                   * (1.0 + 2.0 * epsilon * k**2 * slope_b)
-                   / (1.0 + 2.0 * epsilon * k**2 * slope_a))
 
 
 def measured_phase_speed(eos, reg, k, amplitude, n=None, cfl=0.3, harmonic_tol=0.01):

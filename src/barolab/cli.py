@@ -71,8 +71,10 @@ def _override_config_text(text, param, value):
 
 def _cmd_sweep(args):
     text = _read(args.config)
-    values = [v for v in args.values.split(",") if v.strip()]
+    values = [v for v in map(str.strip, args.values.split(",")) if v]
     try:
+        if not values:
+            raise ConfigError([f"--values lists no value: {args.values!r}"])
         base = parse_config(text)
         members = []
         for value in values:

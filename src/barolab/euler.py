@@ -83,7 +83,6 @@ class Diagnostics:
     mass: float
     momentum: float
     sup_wx: float
-    m: np.ndarray | None = None  # nonlocal momentum density, on request
 
 
 @dataclass
@@ -182,7 +181,7 @@ def sup_gradient(state):
     return max(np.max(np.abs(rx)), np.max(np.abs(ux)))
 
 
-def diagnostics(state, reg, eos, with_momentum_field=False):
+def diagnostics(state, reg, eos):
     """Energy, mass, total momentum and gradient sup-norm of a state."""
     grid = state.grid
     e = energy_density(state, reg, eos)
@@ -192,7 +191,6 @@ def diagnostics(state, reg, eos, with_momentum_field=False):
         mass=grid.integrate(state.rho, far=grid.rho_far),
         momentum=grid.integrate(state.rho * state.u, far=grid._far(mul)),
         sup_wx=sup_gradient(state),
-        m=momentum_field(state, reg) if with_momentum_field else None,
     )
 
 

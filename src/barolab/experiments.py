@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .config import build_initial, study_epsilons, study_modes, study_resolutions
 from .errors import ConfigError, DomainError, IntegrationError
-from .euler import State, momentum_field, reg_source, run, rusanov_run, step
+from .euler import State, reg_source, run, rusanov_run, step
 from .sturm_liouville import SLSystem
 from .grid import Grid
 from .hunter_saxton import GhsState, ghs_run, ghs_step
@@ -53,8 +53,18 @@ def write_snapshot(path, grid, rho, u, m, reg_flux=None):
 
 
 def read_snapshot(path, grid):
-    """Re-ingest a snapshot CSV as an initial condition on ``grid``."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    """Re-ingest a snapshot CSV as an initial condition on ``grid``.
+
+    A file that cannot be read, lacks a ``rho`` or ``u`` column or does not
+    have one row per grid node raises :class:`ConfigError`.
+    """
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError([f"snapshot {path} cannot be read: {exc}"]) from exc
+    missing = [c for c in ("rho", "u") if c not in (data.dtype.names or ())]
+    if missing:
+        raise ConfigError([f"snapshot {path} has no {' or '.join(missing)} column"])
     if data.size != grid.n:
         raise ConfigError([f"snapshot {path} has {data.size} rows, grid has {grid.n}"])
     return np.ascontiguousarray(data["rho"]), np.ascontiguousarray(data["u"])
@@ -90,9 +100,9 @@ def run_experiment(config, output_dir=None):
     except IntegrationError as exc:
         code = EXIT_INTEGRATION
         summary = {"kind": config.kind, "error": str(exc), "failure_time": exc.t}
-    except DomainError as exc:
-        # a statically-invalid setup that slipped past parsing (e.g. initial
-        # data incompatible with the grid or law)
+    except (ConfigError, DomainError) as exc:
+        # a statically-invalid setup that slipped past parsing (e.g. an
+        # unreadable snapshot file, or initial data incompatible with the law)
         code = EXIT_CONFIG
         summary = {"kind": config.kind, "error": str(exc)}
     summary["wall_clock_s"] = time.perf_counter() - started
@@ -128,8 +138,9 @@ def _run_time_series(config, outdir):
         if is_ghs:
             write_snapshot(path, grid, state.rho, state.u, state.rho * state.u)
         else:
-            flux = SLSystem(grid, state.rho, reg).smooth(reg_source(state, reg, eos))
-            write_snapshot(path, grid, state.rho, state.u, momentum_field(state, reg), flux)
+            op = SLSystem(grid, state.rho, reg)
+            write_snapshot(path, grid, state.rho, state.u, op.apply(state.u, far=grid.u_far),
+                           op.smooth(reg_source(state, reg, eos)))
     with open(outdir / "snapshots_index.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("index,t,filename\n")
         for idx, (t, _) in enumerate(result.snapshots):

@@ -40,6 +40,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .eos import _check_density
 from .errors import DomainError, NumericalBreakdownError
+from .grid import LINE, Grid
 from .regularizer import INVERSE
 
 RESIDUAL_TOL = 1e-10
@@ -47,11 +48,7 @@ KERNEL_TRUNCATION = 40.0  # e-folding widths; exp(-40) is below double noise
 
 
 class SLSystem:
-    """Assembled and factorized operator for one density field.
-
-    Immutable after construction; ``solve``/``apply`` are read-only and safe
-    to call concurrently on a single instance.
-    """
+    """Assembled and factorized operator for one density field."""
 
     def __init__(self, grid, rho, reg):
         rho = _check_density(rho)
@@ -178,11 +175,10 @@ def inverse_family_flux(rho_xi, dxi, eos, reg):
     if reg.epsilon <= 0.0:
         raise DomainError("the convolution route needs epsilon > 0")
     rho_xi = _check_density(rho_xi)
+    # the constructor keeps dx == dxi exactly; Grid.line would round it
+    grid = Grid(LINE, rho_xi.size, dxi, 0.0, (rho_xi[0], rho_xi[-1]), (0.0, 0.0))
+    drho = grid.ddx(rho_xi)
     width = np.sqrt(2.0 * reg.epsilon * reg.a * reg.rho_bar)
-    drho = np.empty_like(rho_xi)
-    drho[1:-1] = (rho_xi[2:] - rho_xi[:-2]) / (2.0 * dxi)
-    drho[0] = (rho_xi[1] - rho_xi[0]) / (2.0 * dxi)
-    drho[-1] = (rho_xi[-1] - rho_xi[-2]) / (2.0 * dxi)
     _, v2, v3 = eos.potential_derivatives(rho_xi)
     integrand = reg.a * reg.rho_bar * (rho_xi * v3 + 3.0 * v2) * drho**2
     m = int(np.ceil(KERNEL_TRUNCATION * width / dxi))

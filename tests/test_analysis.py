@@ -14,21 +14,11 @@ from barolab.analysis import steady_numer_denom
 
 
 class TestPhaseSpeedTheory:
-    def test_shallow_water_unit(self, sw_eos, cubic_reg):
-        assert bl.phase_speed(sw_eos, cubic_reg, k=1) == pytest.approx(1.0, rel=1e-14)
+    def test_shallow_water_unit(self, sw_eos):
+        assert bl.phase_speed(sw_eos) == pytest.approx(1.0, rel=1e-14)
 
-    def test_isothermal_unit(self, iso_eos, cubic_reg):
-        assert bl.phase_speed(iso_eos, cubic_reg, k=1) == pytest.approx(1.0, rel=1e-14)
-
-    def test_k_independence_bitwise(self, sw_eos, cubic_reg):
-        assert bl.phase_speed(sw_eos, cubic_reg, 1) == bl.phase_speed(sw_eos, cubic_reg, 100)
-        ks = 2.0 ** np.arange(0, 11)
-        vals = bl.phase_speed_two_function(sw_eos, ks, 0.3, 0.5, 0.5)
-        assert np.max(vals) - np.min(vals) == 0.0
-
-    def test_two_function_formula_disperses_when_slopes_differ(self, sw_eos):
-        c = bl.phase_speed_two_function(sw_eos, np.array([1.0, 10.0]), 0.3, 0.5, 2.0)
-        assert c[1] > c[0] > bl.phase_speed(sw_eos)
+    def test_isothermal_unit(self, iso_eos):
+        assert bl.phase_speed(iso_eos) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestPhaseSpeedMeasured:

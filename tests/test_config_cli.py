@@ -250,6 +250,40 @@ class TestExperiments:
         written = json.loads((tmp_path / "mismatch" / "summary.json").read_text())
         assert written["error"] == summary["error"]
 
+    @pytest.mark.parametrize("body", [None, "x,y\n0,1\n", "x,rho,u\n0,1,0\n"],
+                             ids=["missing", "no_rho_u_columns", "row_count_mismatch"])
+    def test_unreadable_snapshot_file_is_a_config_error(self, tmp_path, body):
+        path = tmp_path / "snap.csv"
+        if body is not None:
+            path.write_text(body)
+        text = MINIMAL_RBE.replace("kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+                                   f"kind = file\npath = {path}")
+        code, summary = run_experiment(parse_config(text), tmp_path / "out")
+        assert code == 1
+        assert "snap.csv" in summary["error"]
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert written["error"] == summary["error"]
+
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
+    def test_snapshot_columns_hold_momentum_and_flux(self, tmp_path, topology):
+        text = MINIMAL_RBE + "snapshot_every = 20\n"
+        if topology == "line":
+            # moving far field, and a short domain so the edge velocity leaves
+            # it: m must take the far-field velocity, not the edge sample, as ghost
+            text = text.replace("n = 128", "topology = line\nn = 128\nx_min = -4.0\n"
+                                "x_max = 4.0\nu_left = 1.0\nu_right = 1.0")
+            text = text.replace("kind = sine_bump", "kind = gaussian_bump\nwidth = 0.8")
+        cfg = parse_config(text)
+        code, _ = run_experiment(cfg, tmp_path / "r")
+        assert code == 0
+        last = sorted((tmp_path / "r").glob("snapshot_*.csv"))[-1]
+        data = np.genfromtxt(last, delimiter=",", names=True)
+        state = bl.State(0.0, data["rho"], data["u"], cfg.grid)
+        reg, eos = cfg.regularizer, cfg.eos
+        assert np.array_equal(data["m"], bl.momentum_field(state, reg))
+        want_r = bl.SLSystem(cfg.grid, state.rho, reg).smooth(bl.reg_source(state, reg, eos))
+        assert np.array_equal(data["R"], want_r)
+
     def test_dispersion_study_csv(self, tmp_path):
         text = MINIMAL_RBE.replace("kind = rbe_run", "kind = dispersion_study")
         text += "\n[study]\nmodes = 1,2\namplitude = 1e-6\n"
@@ -370,3 +404,20 @@ class TestCli:
             assert names == sorted(p.name for p in member.glob("*.csv"))
             for name in names:
                 assert (member / name).read_bytes() == (single / name).read_bytes(), name
+
+    def test_sweep_values_are_stripped_and_must_not_be_empty(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        out = tmp_path / "sw"
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", " , ", "--output", str(out)])
+        assert code == 1
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", "0.1, 0.05", "--output", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["epsilon=0.05",
+                                                                       "epsilon=0.1"]
+        assert set(json.loads((out / "sweep.json").read_text())) == {"0.1", "0.05"}

@@ -250,6 +250,11 @@ class TestInverseFamilyConvolution:
         with pytest.raises(DomainError):
             inverse_family_flux(np.ones(64), 0.1, sw_eos, cubic_reg)
 
+    @pytest.mark.parametrize("dxi", [0.0, -0.1, np.nan])
+    def test_bad_spacing_rejected(self, sw_eos, dxi):
+        with pytest.raises(DomainError):
+            inverse_family_flux(np.ones(64), dxi, sw_eos, Regularizer.inverse(0.05, 1.0, 1.0))
+
     def test_agrees_with_operator_path(self, sw_eos):
         # same quantity via the x-space operator and via the mass-coordinate
         # convolution; two independent code paths
