@@ -136,8 +136,8 @@ class EquationOfState:
 
         ``V'`` is the enthalpy and ``V'' = P'(rho)/rho``.
         """
-        rho = _check_density(rho)
-        d1 = self.enthalpy(rho)
+        rho = np.asarray(rho, dtype=float)
+        d1 = self.enthalpy(rho)  # applies the density rule
         if self.kind == ISENTROPIC:
             g = self.gamma
             d2 = self.enthalpy_scale * rho ** (g - 2.0) / self.rho_bar ** (g - 1.0)

@@ -21,7 +21,7 @@ class VacuumError(DomainError):
 
 
 class NumericalBreakdownError(BarolabError, ArithmeticError):
-    """A linear solve failed its backward-error check."""
+    """The operator's factorization failed, or a solve failed its backward-error check."""
 
 
 class IntegrationError(BarolabError, RuntimeError):

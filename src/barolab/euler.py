@@ -35,7 +35,7 @@ from operator import mul
 import numpy as np
 
 from .eos import _check_density
-from .errors import DomainError, IntegrationError, _require
+from .errors import DomainError, IntegrationError, NumericalBreakdownError, _require
 from .grid import require_finite
 from .regularizer import composite_coefficients
 from .sturm_liouville import SLSystem
@@ -132,7 +132,8 @@ def cfl_dt(state, eos, cfl):
 def _rk4(state, dt, f, reg, eos):
     """One classical RK4 step of ``f(state, reg, eos)``; re-validates the result.
 
-    Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.
+    Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.  An
+    invalid state or a failed operator solve becomes an :class:`IntegrationError`.
     """
     try:
         k1r, k1u = f(state, reg, eos)
@@ -149,7 +150,7 @@ def _rk4(state, dt, f, reg, eos):
             u=state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         )
         return out.validate()
-    except DomainError as exc:
+    except (DomainError, NumericalBreakdownError) as exc:
         raise IntegrationError(str(exc), state.t) from exc
 
 

@@ -9,15 +9,16 @@ self-adjointness that makes the operator coercive for positive ``rho``):
 
 with ``k = rho * A'``, whose face values come from the grid's ghosts of ``k``.
 Periodic grids give a cyclic tridiagonal system solved directly through a
-rank-1 (Sherman-Morrison) correction of a plain banded Cholesky factorization;
-line grids are the same system with a zero corner, closed with the far-field
-constants as Dirichlet ghost data.  Every solve checks its normwise backward
-error ``|L u - f| <= RESIDUAL_TOL (|L| |u| + |f|)`` in the infinity norm
-(Higham, *Accuracy and Stability of Numerical Algorithms*, section 7.1), with
-``|L|`` the largest row sum ``rho + 2c (k_{i+1/2} + k_{i-1/2})``,
-``c = 2 eps/dx^2``.  The bound grows with ``|L| ~ 1/dx^2`` as a backward-stable
-solve's residual does, so it holds on fine grids and still catches a
-factorization that silently degraded.
+rank-1 (Sherman-Morrison) correction of LAPACK's tridiagonal ``L D L^T``
+factorization (``dpttrf``/``dpttrs``); line grids are the same system with a
+zero corner, closed with the far-field constants as Dirichlet ghost data.
+Every solve checks its normwise backward error
+``|L u - f| <= RESIDUAL_TOL (|L| |u| + |f|)`` in the infinity norm (Higham,
+*Accuracy and Stability of Numerical Algorithms*, section 7.1), with ``|L|``
+the largest row sum ``rho + 2c (k_{i+1/2} + k_{i-1/2})``, ``c = 2 eps/dx^2``.
+The bound grows with ``|L| ~ 1/dx^2`` as a backward-stable solve's residual
+does, so it holds on fine grids and still catches a factorization that
+silently degraded, or a NaN or Inf in the data.
 
 Three derived operations are provided on top of the inverse:
 
@@ -36,7 +37,7 @@ mass-Lagrangian coordinates, to a convolution against an exponential kernel;
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .eos import _check_density
 from .errors import DomainError, NumericalBreakdownError
@@ -51,13 +52,13 @@ class SLSystem:
     """Assembled and factorized operator for one density field."""
 
     def __init__(self, grid, rho, reg):
-        rho = _check_density(rho)
+        rho = np.asarray(rho, dtype=float)
+        self.kappa = rho * reg.slope(rho)  # the slope applies the density rule
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
         self.grid = grid
         self.rho = rho
         self.eps = float(reg.epsilon)
-        self.kappa = rho * reg.slope(rho)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
         # k_face[j] couples cells j-1 and j
@@ -69,18 +70,19 @@ class SLSystem:
         off = c * (k_face[1:] + k_face[:-1])  # |off-diagonal| sum of each row
         diag = rho + off
         self._norm = np.max(diag + off)  # infinity norm, for the solve's guard
-        ab = np.zeros((2, grid.n))
-        ab[1] = diag
-        ab[0, 1:] = -c * k_face[1:-1]
         # Sherman-Morrison split A = T + corner * w w^T with w = e_0 + e_{n-1};
         # corner <= 0 so T only gains on the diagonal and stays SPD.
-        ab[1, 0] -= self._corner
-        ab[1, -1] -= self._corner
-        self._factor = _factorize(ab)
+        d = diag.copy()
+        d[0] -= self._corner
+        d[-1] -= self._corner
+        self._d, self._e, info = dpttrf(d, -c * k_face[1:-1])
+        if info > 0:
+            raise NumericalBreakdownError(
+                f"operator factorization failed: leading minor {info} is not positive")
         if self._corner != 0.0:
             w = np.zeros(grid.n)
             w[0] = w[-1] = 1.0
-            self._tinv_w = cho_solve_banded((self._factor, False), w)
+            self._tinv_w = dpttrs(self._d, self._e, w)[0]
             self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
         self.diagonal = diag
 
@@ -107,13 +109,14 @@ class SLSystem:
             rhs = f.copy()
             rhs[0] += self._c * self._k_face[0] * far[0]
             rhs[-1] += self._c * self._k_face[-1] * far[1]
-        u = cho_solve_banded((self._factor, False), rhs)
+        # dpttrs's info flags only a malformed argument; the guard checks u
+        u = dpttrs(self._d, self._e, rhs)[0]
         if self._corner != 0.0:
             wu = u[0] + u[-1]
             u = u - (self._corner * wu / self._sm_denom) * self._tinv_w
         residual = np.max(np.abs(self.apply(u, far=far) - f))
         scale = self._norm * np.max(np.abs(u)) + np.max(np.abs(f))
-        if residual > RESIDUAL_TOL * scale:
+        if not residual <= RESIDUAL_TOL * scale:  # also NaN: the finiteness check
             raise NumericalBreakdownError(
                 f"solve residual {residual:.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} * (|L| |u| + |f|) = {RESIDUAL_TOL * scale:.3e}"
@@ -135,13 +138,6 @@ class SLSystem:
         w = self.solve_dx(psi)
         dw = self.grid.ddx(w, far=(0.0, 0.0))
         return psi + 2.0 * self.eps * self.kappa * dw
-
-
-def _factorize(ab):
-    try:
-        return cholesky_banded(ab, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdownError(f"operator factorization failed: {exc}") from exc
 
 
 def exp_kernel(xi, width):

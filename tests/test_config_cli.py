@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import barolab as bl
-from barolab import ConfigError, cli
+from barolab import ConfigError, cli, sturm_liouville
 from barolab.config import build_grid, build_initial, parse_config
 from barolab.experiments import read_snapshot, run_experiment
 
@@ -186,6 +186,18 @@ class TestExperiments:
         assert code == 0
         assert summary["energy_drift"] == 0.0
         assert summary["blowup"] is False
+
+    def test_failed_operator_solve_is_an_integration_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sturm_liouville, "RESIDUAL_TOL", -1.0)  # every solve fails
+        cfg = parse_config(MINIMAL_RBE)
+        initial = bl.State(0.0, *build_initial(cfg, cfg.grid), cfg.grid)
+        with pytest.raises(bl.IntegrationError) as err:
+            bl.run(initial, cfg.solver, cfg.regularizer, cfg.eos)
+        assert isinstance(err.value.__cause__, bl.NumericalBreakdownError)
+        code, summary = run_experiment(cfg, tmp_path / "b")
+        assert code == 2
+        written = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert "solve residual" in written["error"] and written["failure_time"] == 0.0
 
     def test_rbe_run_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL_RBE + "snapshot_every = 20\n")

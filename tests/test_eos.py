@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from barolab import eos as eos_module, euler, regularizer, sturm_liouville
 from barolab import (
     DomainError,
     EquationOfState,
@@ -10,8 +11,11 @@ from barolab import (
     SLSystem,
     State,
     VacuumError,
+    cfl_dt,
     composite_coefficients,
+    diagnostics,
     inverse_family_flux,
+    step,
 )
 
 GAMMA2 = EquationOfState.isentropic(2.0, 1.0, 0.5)
@@ -72,6 +76,30 @@ def test_one_density_rule(take, bad):
         take(rho)
     assert isinstance(err.value, VacuumError) == (bad == 0.0)
     take(np.ones(16))
+
+
+def test_one_density_check_per_call(monkeypatch):
+    calls = [0]
+    check = eos_module._check_density
+
+    def counted(rho):
+        calls[0] += 1
+        return check(rho)
+
+    for module in (eos_module, regularizer, sturm_liouville, euler):
+        monkeypatch.setattr(module, "_check_density", counted)
+    g = Grid.periodic(1.0, 64)
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * g.x)
+    GAMMA2.potential_derivatives(rho)
+    assert calls[0] == 1
+    SLSystem(g, rho, CUBIC)
+    assert calls[0] == 2
+    # one step of the run loop: CFL step, RK4 step, then the diagnostics row
+    calls[0] = 0
+    state = State(0.0, rho, 0.1 * np.cos(2 * np.pi * g.x), g)
+    dt = cfl_dt(state, GAMMA2, 0.5)
+    diagnostics(step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
+    assert calls[0] <= 21
 
 
 class TestEnthalpy:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import barolab as bl
 from barolab import (
     DomainError,
     Grid,
@@ -18,6 +19,7 @@ from barolab import (
 from barolab.regularizer import composite_coefficients
 from barolab.sturm_liouville import RESIDUAL_TOL
 from conftest import observed_order
+from test_hunter_saxton import NegatedRegularizer
 
 UNIT_SLOPE = Regularizer.power(0.5, 1.0)  # A = rho, A' = 1; eps = 1/2 makes L = rho - d2
 
@@ -133,9 +135,29 @@ class TestSolve:
     def test_guard_catches_a_degraded_factorization(self, cubic_reg):
         g = Grid.periodic(1.0, 200)
         sys = SLSystem(g, 1.3 + 0.9 * np.sin(2 * np.pi * g.x), cubic_reg)
-        sys._factor = 1.01 * sys._factor  # factors 1.0201 L instead of L
+        sys._d = 1.0201 * sys._d  # factors 1.0201 L instead of L
         with pytest.raises(NumericalBreakdownError):
             sys.solve(np.cos(2 * np.pi * g.x))
+
+    @pytest.mark.parametrize("case", ["solve_nan", "solve_inf", "rhs_inf_velocity"])
+    def test_non_finite_data_fails_the_guard(self, sw_eos, cubic_reg, case):
+        g = Grid.periodic(1.0, 64)
+        rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+        bad = np.cos(2 * np.pi * g.x)
+        bad[7] = np.nan if case == "solve_nan" else np.inf
+        with pytest.raises(NumericalBreakdownError, match="solve residual"), \
+                np.errstate(invalid="ignore"):  # Inf - Inf in the residual is the point
+            if case == "rhs_inf_velocity":
+                bl.rhs(bl.State(0.0, rho, bad, g), cubic_reg, sw_eos)
+            else:
+                SLSystem(g, rho, cubic_reg).solve(bad)
+
+    def test_indefinite_operator_fails_the_factorization(self, cubic_reg):
+        # A' < 0 makes T indefinite; the sign-flip wrapper of the gHS tests
+        g = Grid.periodic(1.0, 64)
+        rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+        with pytest.raises(NumericalBreakdownError, match="factorization"):
+            SLSystem(g, rho, NegatedRegularizer(cubic_reg))
 
     def test_maximum_principle(self, cubic_reg):
         rng = np.random.default_rng(17)
@@ -153,7 +175,7 @@ class TestSolve:
         g = Grid.periodic(1.0, 64)
         for _ in range(100):
             rho = np.exp(0.8 * smooth_random_field(g, rng))
-            sys = SLSystem(g, rho, cubic_reg)  # banded Cholesky fails if not SPD
+            sys = SLSystem(g, rho, cubic_reg)  # the factorization fails if not SPD
             u = rng.standard_normal(g.n)
             assert float(u @ sys.apply(u)) > 0.0
 
