@@ -33,6 +33,8 @@ from .euler import SolverConfig, State, run
 from .grid import Grid
 
 SONIC_PROXIMITY = 1e-6  # stop the profile integration at |D| below this fraction of D(start)
+R2_MIN = 0.99           # least r^2 on either side of an accepted singularity fit
+MIN_POINTS = 8          # least number of points on either side of the fit window
 
 
 # -- dispersion ---------------------------------------------------------------
@@ -46,28 +48,26 @@ def phase_speed(eos):
     return float(np.sqrt(eos.rho_bar * v2))
 
 
-def measured_phase_speed(eos, reg, k, amplitude, n=None, cfl=0.3, harmonic_tol=0.01):
+def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):
     """Phase speed of a small travelling wave measured from the solver.
 
     Propagates ``rho = rho_bar + a cos(k x)`` with the matched velocity
-    eigenvector on a periodic ``[0, 2 pi)`` domain for one predicted period
-    and extracts the phase advance of the fundamental Fourier mode (the
-    discrete cross-correlation phase).  Raises
+    eigenvector on a periodic ``[0, 2 pi)`` domain of ``max(256, 64 k)`` nodes
+    at CFL 0.3 for one predicted period and extracts the phase advance of the
+    fundamental Fourier mode (the discrete cross-correlation phase).  Raises
     :class:`MeasurementInvalidError` when content outside the fundamental
     exceeds ``harmonic_tol`` of it, which signals nonlinear contamination.
     """
     k = int(k)
     if k <= 0:
         raise DomainError("mode number must be a positive integer")
-    if n is None:
-        n = max(256, 64 * k)  # at least 32 points per wavelength, with margin
-    grid = Grid.periodic(2.0 * np.pi, n)
+    grid = Grid.periodic(2.0 * np.pi, max(256, 64 * k))  # >= 32 points per wavelength, with margin
     c0 = phase_speed(eos)
     a = float(amplitude)
     rho0 = eos.rho_bar + a * np.cos(k * grid.x)
     u0 = (c0 / eos.rho_bar) * a * np.cos(k * grid.x)
     period = 2.0 * np.pi / (k * c0)
-    result = run(State(0.0, rho0, u0, grid), SolverConfig(t_end=period, cfl=cfl), reg, eos)
+    result = run(State(0.0, rho0, u0, grid), SolverConfig(t_end=period, cfl=0.3), reg, eos)
 
     def mode(state):
         return np.fft.rfft(state.rho - eos.rho_bar)
@@ -115,18 +115,15 @@ class SteadyFluxes:
     def uniform(cls, mass, momentum, energy):
         return cls(float(mass), float(momentum), float(energy), float(energy))
 
-    def energy(self, side):
-        return self.energy_right if side > 0 else self.energy_left
-
     @property
     def dissipation(self):
         """Energy flux lost between the two far fields, ``F+ - F-``."""
         return self.energy_right - self.energy_left
 
-    def admissible(self, tol=1e-12):
+    def admissible(self):
         """Whether the two far fields can be joined by a steady connection."""
-        scale = max(abs(self.mass), abs(self.momentum), 1.0)
-        return abs(self.mass_mismatch) <= tol * scale and abs(self.momentum_mismatch) <= tol * scale
+        tol = 1e-12 * max(abs(self.mass), abs(self.momentum), 1.0)
+        return abs(self.mass_mismatch) <= tol and abs(self.momentum_mismatch) <= tol
 
 
 def far_field_fluxes(rho_left, u_left, rho_right, u_right, eos):
@@ -136,10 +133,10 @@ def far_field_fluxes(rho_left, u_left, rho_right, u_right, eos):
     return SteadyFluxes(i_l, s_l, f_l, f_r, mass_mismatch=i_r - i_l, momentum_mismatch=s_r - s_l)
 
 
-def steady_numer_denom(rho, fluxes, eos, side=1):
+def steady_numer_denom(rho, fluxes, eos):
     """Numerator and denominator of the steady squared-slope relation."""
     i, s = fluxes.mass, fluxes.momentum
-    f = fluxes.energy(side)
+    f = fluxes.energy_right  # F+, the right far field's; F- differs only across a shock
     v = eos.potential(rho)
     _, v2, _ = eos.potential_derivatives(rho)
     numer = i**2 - 2.0 * s * rho + 2.0 * (f / i) * rho**2 - 2.0 * rho * v
@@ -147,7 +144,7 @@ def steady_numer_denom(rho, fluxes, eos, side=1):
     return numer, denom
 
 
-def steady_ode_rhs(rho, fluxes, eos, reg, side=1):
+def steady_ode_rhs(rho, fluxes, eos, reg):
     """Squared slope ``(d rho/dx)^2`` of a steady profile at density ``rho``.
 
     Negative values mark inadmissible regions; the result diverges at the
@@ -157,19 +154,19 @@ def steady_ode_rhs(rho, fluxes, eos, reg, side=1):
         raise DomainError("steady profiles need epsilon > 0")
     if fluxes.mass == 0.0:
         raise DomainError("steady profiles need a nonzero mass flux")
-    numer, denom = steady_numer_denom(rho, fluxes, eos, side)
+    numer, denom = steady_numer_denom(rho, fluxes, eos)
     da = reg.slope(rho)
     return float(rho**2 * numer / (2.0 * reg.epsilon * da * denom))
 
 
-def sonic_density(mass_flux, eos, bracket=(1e-3, 1e3)):
+def sonic_density(mass_flux, eos):
     """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root)."""
 
     def f(rho):
         _, v2, _ = eos.potential_derivatives(rho)
         return rho**3 * v2 - mass_flux**2
 
-    return float(brentq(f, *bracket, xtol=1e-14, rtol=1e-15))
+    return float(brentq(f, 1e-3, 1e3, xtol=1e-14, rtol=1e-15))
 
 
 @dataclass
@@ -181,8 +178,7 @@ class ProfileResult:
     sol: object = None   # dense-output interpolant
 
 
-def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, side=1,
-                             x_max=10.0, rtol=1e-10, atol=1e-13):
+def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0):
     """Integrate ``d rho/dx = direction * sqrt(squared slope)`` from ``x = 0``.
 
     Adaptive RK with terminal events at slope-zero points (the numerator
@@ -192,7 +188,7 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, side=1,
     """
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
-    v0 = steady_ode_rhs(rho_start, fluxes, eos, reg, side)
+    v0 = steady_ode_rhs(rho_start, fluxes, eos, reg)
     if abs(v0) <= 1e-12 * max(1.0, rho_start**2):
         # starting from an equilibrium: the constant state is the profile
         xs = np.linspace(0.0, x_max, 256)
@@ -201,23 +197,23 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, side=1,
                                                                       float(rho_start))))
     if v0 < 0.0:
         raise DomainError("squared slope is negative at rho_start; no profile there")
-    _, d0 = steady_numer_denom(rho_start, fluxes, eos, side)
+    _, d0 = steady_numer_denom(rho_start, fluxes, eos)
 
     def slope(x, y):
-        val = steady_ode_rhs(float(y[0]), fluxes, eos, reg, side)
+        val = steady_ode_rhs(float(y[0]), fluxes, eos, reg)
         return [direction * np.sqrt(max(val, 0.0))]
 
     def ev_turning(x, y):
-        n, _ = steady_numer_denom(float(y[0]), fluxes, eos, side)
+        n, _ = steady_numer_denom(float(y[0]), fluxes, eos)
         return n
 
     def ev_sonic(x, y):
-        _, d = steady_numer_denom(float(y[0]), fluxes, eos, side)
+        _, d = steady_numer_denom(float(y[0]), fluxes, eos)
         return abs(d) - SONIC_PROXIMITY * abs(d0)
 
     ev_turning.terminal = True
     ev_sonic.terminal = True
-    sol = solve_ivp(slope, (0.0, x_max), [float(rho_start)], rtol=rtol, atol=atol,
+    sol = solve_ivp(slope, (0.0, x_max), [float(rho_start)], rtol=1e-10, atol=1e-13,
                     events=[ev_turning, ev_sonic], dense_output=True, max_step=x_max / 50.0)
     if sol.t_events[1].size:
         stop, x_stop = "sonic", float(sol.t_events[1][0])
@@ -229,19 +225,19 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, side=1,
     return ProfileResult(xs, sol.sol(xs)[0], stop, x_stop, sol=sol.sol)
 
 
-def cusp_profile(fluxes, eos, reg, rho_start, side=1, n=4097, x_max=10.0):
+def cusp_profile(fluxes, eos, reg, rho_start, n=4097, x_max=10.0):
     """Two-sided steady profile around a sonic point, sampled uniformly.
 
     Integrates toward the sonic density, locates the cusp position by the
     local two-thirds model, mirrors the branch and resamples with the cusp
     exactly on a node.  Returns ``(x, rho, x_center, rho_center)``.
     """
-    res = integrate_steady_profile(fluxes, eos, reg, rho_start, -1, side, x_max=x_max)
+    res = integrate_steady_profile(fluxes, eos, reg, rho_start, -1, x_max=x_max)
     if res.stop != "sonic":
         raise DomainError(f"profile stopped at a {res.stop} point, not a sonic point")
     rho_s = sonic_density(fluxes.mass, eos)
     rho_c = float(res.sol(res.x_stop)[0])
-    v_c = steady_ode_rhs(rho_c, fluxes, eos, reg, side)
+    v_c = steady_ode_rhs(rho_c, fluxes, eos, reg)
     # local model rho - rho_s ~ (x0 - x)^(2/3)  =>  x0 - x = (2/3)(rho - rho_s)/|rho'|
     x0 = res.x_stop + (2.0 / 3.0) * (rho_c - rho_s) / np.sqrt(v_c)
     half = np.linspace(0.0, x0, (n + 1) // 2)
@@ -253,7 +249,7 @@ def cusp_profile(fluxes, eos, reg, rho_start, side=1, n=4097, x_max=10.0):
     return x, rho, x0, rho_s
 
 
-def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic, side=1):
+def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic):
     """One-sided cusp amplitude from the local analysis of the steady relation.
 
     Matching the ``|x - x0|^(-2/3)`` coefficients of the squared-slope relation
@@ -263,7 +259,7 @@ def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic, side=1):
 
     since the expanded denominator itself carries one factor of the amplitude.
     """
-    numer, _ = steady_numer_denom(rho_sonic, fluxes, eos, side)
+    numer, _ = steady_numer_denom(rho_sonic, fluxes, eos)
     _, _, v3 = eos.potential_derivatives(rho_sonic)
     da = float(reg.slope(rho_sonic))
     amp3 = (9.0 * rho_sonic**3 / (8.0 * reg.epsilon * da)) * (
@@ -310,20 +306,17 @@ def _side_fit(t, y):
     return float(slope), float(np.exp(intercept)), r2
 
 
-def fit_singularity_exponent(x, rho, center, rho_ref=None, inner=None, outer=None,
-                             r2_min=0.99, min_points=8):
+def fit_singularity_exponent(x, rho, center, rho_ref, inner=None, outer=None):
     """Fit ``|rho - rho_ref| ~ amp * |x - center|**alpha`` on each side of ``center``.
 
     The window excludes ``|x - center| < 3 dx`` (the scale on which any cusp
     is smeared) and everything beyond 10% of the data extent by default.
     Raises :class:`FitUnreliableError`, with the fit attached, when either
-    side falls below ``r2_min``.
+    side falls below ``R2_MIN``.
     """
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
     dx = float(np.median(np.diff(x)))
-    if rho_ref is None:
-        rho_ref = float(np.interp(center, x, rho))
     if inner is None:
         inner = 3.0 * dx
     if outer is None:
@@ -335,7 +328,7 @@ def fit_singularity_exponent(x, rho, center, rho_ref=None, inner=None, outer=Non
     results = []
     for sign in (-1.0, 1.0):
         mask = (np.sign(s) == sign) & (np.abs(s) >= inner) & (np.abs(s) <= outer) & (dev > 0.0)
-        if np.count_nonzero(mask) < min_points:
+        if np.count_nonzero(mask) < MIN_POINTS:
             raise FitUnreliableError(
                 f"only {np.count_nonzero(mask)} usable points on one side of the window")
         results.append(_side_fit(np.log(np.abs(s[mask])), np.log(dev[mask])))
@@ -345,9 +338,9 @@ def fit_singularity_exponent(x, rho, center, rho_ref=None, inner=None, outer=Non
         r2_left=results[0][2], r2_right=results[1][2],
         window=(inner, outer),
     )
-    if fit.r2_left < r2_min or fit.r2_right < r2_min:
+    if fit.r2_left < R2_MIN or fit.r2_right < R2_MIN:
         raise FitUnreliableError(
-            f"fit quality r^2 = ({fit.r2_left:.4f}, {fit.r2_right:.4f}) below {r2_min}",
+            f"fit quality r^2 = ({fit.r2_left:.4f}, {fit.r2_right:.4f}) below {R2_MIN}",
             diagnostics=fit,
         )
     return fit

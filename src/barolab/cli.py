@@ -3,7 +3,7 @@
 Commands
 --------
 ``barolab run <config>``        execute the configured experiment
-``barolab validate <config>``   check a configuration and report every problem
+``barolab validate <config>``   check a configuration and its initial data; report every problem
 ``barolab sweep <config> --param section.key --values a,b,c``
                                 run the experiment once per value, one after another,
                                 in the order given
@@ -22,8 +22,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config
-from .errors import ConfigError
+from .config import build_initial, parse_config
+from .errors import ConfigError, DomainError
+from .euler import State
 from .experiments import EXIT_CONFIG, resolve_output_dir, run_experiment
 
 
@@ -36,6 +37,13 @@ def _cmd_validate(args):
         config = parse_config(_read(args.config))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        if config.kind not in ("dispersion_study", "steady_profile"):  # they build no initial data
+            State(0.0, *build_initial(config, config.grid), config.grid).validate()
+    except (ConfigError, DomainError) as exc:
+        problems = getattr(exc, "problems", [str(exc)])
+        print(str(ConfigError([f"[initial] {p}" for p in problems])), file=sys.stderr)
         return EXIT_CONFIG
     print(f"OK: {config.kind} experiment, output -> {config.output_directory}")
     return 0

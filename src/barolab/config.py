@@ -9,6 +9,7 @@ problems at once.  The full grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .eos import EquationOfState
 from .errors import ConfigError, DomainError, _require
 from .euler import SolverConfig
-from .grid import Grid
+from .grid import BOUNDARY_TOL, Grid
 from .regularizer import Regularizer
 
 EXPERIMENT_KINDS = (
@@ -26,6 +27,15 @@ EXPERIMENT_KINDS = (
 )
 INITIAL_KINDS = ("constant", "sine", "sine_bump", "gaussian_bump", "tanh_front", "file")
 _PERIODIC_KINDS = ("ghs_run", "epsilon_sweep", "convergence_study")
+
+
+def _comma_list(conv):
+    """A converter for ``a, b; c`` lists whose items ``conv`` parses."""
+    def parse(text):
+        return [conv(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    parse.__name__ = f"a comma list of {conv.__name__}"
+    return parse
+
 
 # section -> key -> (converter, default); defaults of None mean "not set"
 _SCHEMA = {
@@ -76,9 +86,9 @@ _SCHEMA = {
     },
     "output": {"directory": (str, "out")},
     "study": {
-        "modes": (str, "1,2,4,8"),
+        "modes": (_comma_list(int), [1, 2, 4, 8]),
         "amplitude": (float, 1e-6),
-        "epsilons": (str, "0.1,0.01,0.001"),
+        "epsilons": (_comma_list(float), [0.1, 0.01, 0.001]),
         "mass_flux": (float, 1.0),
         "momentum_flux": (float, 1.25),
         "energy_flux": (float, 0.5),
@@ -87,7 +97,7 @@ _SCHEMA = {
         "points": (int, 4097),
         "variant": (str, "spatial"),
         "solver": (str, "rbe"),
-        "resolutions": (str, "64,128,256"),
+        "resolutions": (_comma_list(int), [64, 128, 256]),
     },
 }
 
@@ -111,10 +121,6 @@ class ExperimentConfig:
         return self.values["output"]["directory"]
 
 
-def _list(text, conv):
-    return [conv(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
-
-
 def parse_config(text):
     """Parse configuration text into an :class:`ExperimentConfig`.
 
@@ -127,7 +133,8 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
-    values = {section: {key: default for key, (_, default) in keys.items()}
+    # copies, so that no two configs share a default study list
+    values = {section: {key: copy.copy(default) for key, (_, default) in keys.items()}
               for section, keys in _SCHEMA.items()}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -187,11 +194,6 @@ def _validate(v):
         problems.append("[solver] on_blowup must be report or fail")
 
     st = v["study"]
-    for key, conv in (("modes", int), ("epsilons", float), ("resolutions", int)):
-        try:
-            _list(st[key], conv)
-        except ValueError:
-            problems.append(f"[study] {key}: cannot parse {st[key]!r} as a comma list")
     if st["variant"] not in ("spatial", "temporal"):
         problems.append("[study] variant must be spatial or temporal")
     if st["solver"] not in ("rbe", "ghs"):
@@ -244,12 +246,12 @@ def build_initial(config, grid):
     """Initial ``(rho, u)`` fields for the configured preset.
 
     On a line grid both fields must meet the grid's far-field values at
-    either edge, within the tolerance of :meth:`Grid.check_boundary`.
+    either edge, within ``BOUNDARY_TOL`` (the tolerance of :meth:`Grid.check_boundary`).
     """
     rho, u = _preset(config, grid)
     if not grid.is_periodic:
         keys = ("rho_left", "rho_right", "u_left", "u_right")
-        _require(*((abs(edge - far) <= 1e-8,
+        _require(*((abs(edge - far) <= BOUNDARY_TOL,
                     f"initial {key.replace('_', ' at the ')} edge is {edge:.17g}, "
                     f"but [grid] {key} is {far:.17g}")
                    for key, edge, far in zip(keys, (rho[0], rho[-1], u[0], u[-1]),
@@ -292,15 +294,3 @@ def _preset(config, grid):
     else:
         u0 = u_mean - a * np.tanh((x - center) / w)
     return np.full(grid.n, rho_bar), u0
-
-
-def study_modes(config):
-    return _list(config["study"]["modes"], int)
-
-
-def study_epsilons(config):
-    return _list(config["study"]["epsilons"], float)
-
-
-def study_resolutions(config):
-    return _list(config["study"]["resolutions"], int)

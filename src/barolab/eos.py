@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, VacuumError, _require
+from .errors import VacuumError, _require
+from .grid import require_finite
 
 ISENTROPIC = "isentropic"
 ISOTHERMAL = "isothermal"
@@ -29,10 +30,8 @@ ISOTHERMAL = "isothermal"
 
 def _check_density(rho):
     """The one density rule: finite (else DomainError) and > 0 (else VacuumError)."""
-    rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise DomainError("density contains NaN or Inf")
-    if np.any(rho <= 0.0):
+    rho = require_finite(rho, "density")
+    if (rho <= 0.0).any():
         raise VacuumError("density reached vacuum")
     return rho
 

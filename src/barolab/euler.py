@@ -195,6 +195,11 @@ def diagnostics(state, reg, eos):
     )
 
 
+def _before_end(t, t_end):
+    """Whether a run at time ``t`` has not yet reached ``t_end`` (up to roundoff)."""
+    return t < t_end - 1e-14 * max(1.0, abs(t_end))
+
+
 def _drive(initial, config, eos, advance, row):
     """The run loop shared by both systems.
 
@@ -210,7 +215,7 @@ def _drive(initial, config, eos, advance, row):
     result.snapshots.append((state.t, state))
     t_end = initial.t + config.t_end
     boundary_warned = False
-    while state.t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while _before_end(state.t, t_end):
         dt = min(cfl_dt(state, eos, config.cfl), t_end - state.t)
         state = advance(state, dt)
         result.steps += 1
@@ -275,7 +280,7 @@ def rusanov_run(initial, t_end_rel, eos, cfl=0.4):
     t_end = state.t + t_end_rel
     rho, q, t = state.rho, state.rho * state.u, state.t
     cur = State(t, rho, q / rho, state.grid)
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while _before_end(t, t_end):
         dt = min(cfl_dt(cur, eos, cfl), t_end - t)
         drho, dq = rusanov_rhs(cur, eos)
         rho = rho + dt * drho

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import build_initial, study_epsilons, study_modes, study_resolutions
+from .config import build_initial
 from .errors import ConfigError, DomainError, IntegrationError
 from .euler import State, reg_source, run, rusanov_run, step
 from .sturm_liouville import SLSystem
@@ -114,8 +114,11 @@ def run_experiment(config, output_dir=None):
 
 
 def _drift(series, column):
+    """Relative change of a column; None when it starts at 0 and moves (undefined)."""
     first, last = series[0][column], series[-1][column]
-    return abs(last - first) / max(abs(first), 1e-12)
+    if abs(first) > 1e-12:
+        return abs(last - first) / abs(first)
+    return 0.0 if last == first else None
 
 
 def _run_time_series(config, outdir):
@@ -165,14 +168,14 @@ def _run_dispersion(config, outdir):
     c_theory = analysis.phase_speed(eos)
     amplitude = config["study"]["amplitude"]
     rows, worst = [], 0.0
-    for k in study_modes(config):
+    for k in config["study"]["modes"]:
         c = analysis.measured_phase_speed(eos, reg, k, amplitude)
         rel = abs(c - c_theory) / c_theory
         worst = max(worst, rel)
         rows.append((k, c_theory, c, rel))
     write_csv(outdir / "dispersion.csv", "k,c_theory,c_measured,rel_err", rows)
     return EXIT_OK, {"kind": "dispersion_study", "max_rel_err": worst,
-                     "modes": study_modes(config)}
+                     "modes": config["study"]["modes"]}
 
 
 def _run_steady_profile(config, outdir):
@@ -205,10 +208,9 @@ def _run_epsilon_sweep(config, outdir):
     eos, grid = config.eos, config.grid
     rho0, u0 = build_initial(config, grid)
     initial = State(0.0, rho0, u0, grid)
-    t_end = config["solver"]["t_end"]
-    reference = rusanov_run(initial, t_end, eos)
+    reference = rusanov_run(initial, config.solver.t_end, eos)
     rows = []
-    for eps in study_epsilons(config):
+    for eps in config["study"]["epsilons"]:
         reg = dataclasses.replace(config.regularizer, epsilon=eps)
         res = run(initial, config.solver, reg, eos)
         dist = grid.integrate(np.abs(res.final.rho - reference.rho)
@@ -231,8 +233,8 @@ def _fixed_dt_advance(initial, t_end, steps, reg, eos, stepper):
 def _run_convergence(config, outdir):
     eos, reg = config.eos, config.regularizer
     st = config["study"]
-    resolutions = study_resolutions(config)
-    t_end = config["solver"]["t_end"]
+    resolutions = st["resolutions"]
+    t_end = config.solver.t_end
     is_ghs = st["solver"] == "ghs"
     stepper = ghs_step if is_ghs else step
 

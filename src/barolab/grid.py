@@ -23,11 +23,13 @@ from .errors import BoundaryContaminationWarning, DomainError, _require
 
 PERIODIC = "periodic"
 LINE = "line"
+BOUNDARY_TOL = 1e-8  # how far a line-grid field may sit off its far-field constants at the edges
 
 
-def require_finite(values, what="field"):
+def require_finite(values, what):
+    """The one finiteness rule: ``values`` as a float array, or DomainError naming ``what``."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError(f"{what} contains NaN or Inf")
     return values
 
@@ -144,11 +146,11 @@ class Grid:
             out -= out[i0]
         return out
 
-    def check_boundary(self, f, far, label="field", tol=1e-8):
+    def check_boundary(self, f, far, label="field"):
         """Warn when a line-grid field has drifted off its far-field constants.
 
-        Looks at the outer 5% of cells on each side; returns whether the
-        warning fired.  No-op on periodic grids.
+        Looks at the outer 5% of cells on each side against ``BOUNDARY_TOL``;
+        returns whether the warning fired.  No-op on periodic grids.
         """
         if self.is_periodic:
             return False
@@ -156,7 +158,7 @@ class Grid:
         m = max(1, self.n // 20)
         left, right = self._ghosts(f, far)
         worst = max(np.max(np.abs(f[:m] - left)), np.max(np.abs(f[-m:] - right)))
-        if worst > tol:
+        if worst > BOUNDARY_TOL:
             warnings.warn(
                 f"{label} deviates from its far-field value by {worst:.3e} "
                 "in the outer 5% of the domain; the perturbation is no longer "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import barolab as bl
 from barolab import ConfigError, cli, sturm_liouville
 from barolab.config import build_grid, build_initial, parse_config
 from barolab.experiments import read_snapshot, run_experiment
+from barolab.grid import BOUNDARY_TOL
 
 MINIMAL_RBE = """
 [experiment]
@@ -35,6 +37,8 @@ mean_velocity = 1.0
 t_end = 0.05
 cfl = 0.3
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "tools" / "configs"  # the byte-identity set
 
 
 def run_cli(args, cwd, env_root):
@@ -171,6 +175,36 @@ class TestParsing:
             assert rho.shape == (128,) and u.shape == (128,)
             assert np.min(rho) > 0
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_far_field_tolerance(self, factor):
+        # build_initial and check_boundary accept exactly the same edge offsets
+        value = 1.0 + factor * BOUNDARY_TOL
+        cfg = parse_config(MINIMAL_RBE.replace("n = 128", "topology = line\nn = 128").replace(
+            "kind = sine_bump", f"kind = constant\nrho_value = {value!r}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warned = cfg.grid.check_boundary(np.full(cfg.grid.n, value), cfg.grid.rho_far)
+        assert warned is (factor > 1.0) and len(caught) == int(factor > 1.0)
+        if factor < 1.0:
+            rho, _ = build_initial(cfg, cfg.grid)
+            assert rho[0] == value
+        else:
+            with pytest.raises(bl.DomainError, match="rho_left"):
+                build_initial(cfg, cfg.grid)
+
+    def test_study_lists_are_typed_once(self):
+        cfg = parse_config(MINIMAL_RBE + "\n[study]\nmodes = 1, 3;5\n")
+        assert cfg["study"]["modes"] == [1, 3, 5]
+        st = parse_config("[experiment]\nkind = rbe_run\n")["study"]
+        assert st["modes"] == [1, 2, 4, 8] and st["resolutions"] == [64, 128, 256]
+        assert st["epsilons"] == [0.1, 0.01, 0.001]
+        assert all(type(v) is int for v in st["modes"] + st["resolutions"])
+        assert all(type(v) is float for v in st["epsilons"])
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RBE + "\n[study]\nmodes = 1,x\n")
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith("[study] modes: cannot parse '1,x'")
+
     def test_tanh_front_is_continuous_across_wrap(self):
         cfg = parse_config(MINIMAL_RBE.replace("kind = sine_bump",
                                                "kind = tanh_front\nwidth = 0.03"))
@@ -186,6 +220,19 @@ class TestExperiments:
         assert code == 0
         assert summary["energy_drift"] == 0.0
         assert summary["blowup"] is False
+
+    def test_zero_initial_mass_has_no_relative_drift(self, tmp_path):
+        # the line perturbation mass starts at exactly 0 and inflow moves it
+        text = MINIMAL_RBE.replace(
+            "n = 128", "topology = line\nn = 256\nu_left = 0.2\nu_right = -0.2")
+        text = text.replace("kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+                            "kind = tanh_front\namplitude = 0.2\nwidth = 1.0")
+        code, summary = run_experiment(parse_config(text.replace("t_end = 0.05", "t_end = 0.2")),
+                                       tmp_path / "z")
+        assert code == 0
+        assert summary["mass_drift"] is None
+        written = json.loads((tmp_path / "z" / "summary.json").read_text())
+        assert written["mass_drift"] is None and written["energy_drift"] > 0.0
 
     def test_failed_operator_solve_is_an_integration_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sturm_liouville, "RESIDUAL_TOL", -1.0)  # every solve fails
@@ -344,6 +391,27 @@ class TestCli:
         bad.write_text(MINIMAL_RBE.replace("epsilon = 0.1", "epsilon = -1"))
         r = run_cli(["validate", str(bad)], tmp_path, tmp_path)
         assert r.returncode == 1 and "epsilon" in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("old, new", [
+        ("kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+         "kind = file\npath = {tmp}/missing.csv"),
+        ("kind = sine_bump\namplitude = 0.05", "kind = sine\namplitude = 2.0"),
+        ("n = 128", "topology = line\nn = 128\nrho_left = 1.2"),
+    ], ids=["missing_snapshot", "vacuum", "far_field_mismatch"])
+    def test_validate_checks_the_initial_data(self, tmp_path, capsys, old, new):
+        text = MINIMAL_RBE.replace(old, new.format(tmp=tmp_path))
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[initial] " in captured.err and "OK" not in captured.out
+        code, _ = run_experiment(parse_config(text), tmp_path / "out")
+        assert code == 1  # a run rejects the same data
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_committed_configs_validate(self, monkeypatch, capsys, name):
+        monkeypatch.chdir(CONFIGS)  # a file preset names its snapshot relative to here
+        assert cli.main(["validate", name]) == 0, capsys.readouterr().err
 
     def test_run_and_exit_codes(self, tmp_path):
         cfg = tmp_path / "run.cfg"
