@@ -36,7 +36,6 @@ from .euler import (
     State,
     cfl_dt,
     diagnostics,
-    energy_density,
     momentum_field,
     reg_source,
     rhs,

@@ -8,54 +8,48 @@ Commands
                                 run the experiment once per value, one after another,
                                 in the order given
 
-Exit codes: 0 success, 1 invalid configuration, 2 integration failure,
-3 blow-up detected while the configuration demands completion
-(``[solver] on_blowup = fail``).  The environment variable
+Exit codes: 0 success, 1 invalid configuration (also a config file that cannot
+be read), 2 a run that fails: an integration failure, or a measurement or fit
+that fails its own check; 3 blow-up detected while the configuration demands
+completion (``[solver] on_blowup = fail``).  The environment variable
 ``BAROLAB_OUTPUT_ROOT`` prefixes every relative output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
+import io
 import json
 import sys
 from pathlib import Path
 
-from .config import build_initial, parse_config
+from .config import build_initial, parse_config, read_ini
 from .errors import ConfigError, DomainError
 from .euler import State
-from .experiments import EXIT_CONFIG, resolve_output_dir, run_experiment
+from .experiments import EXIT_CONFIG, EXIT_OK, resolve_output_dir, run_experiment
 
 
 def _read(path):
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
 
 
 def _cmd_validate(args):
-    try:
-        config = parse_config(_read(args.config))
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if config.kind not in ("dispersion_study", "steady_profile"):  # they build no initial data
+    config = parse_config(_read(args.config))
+    if config.kind not in ("dispersion_study", "steady_profile"):  # they build no initial data
+        try:
             State(0.0, *build_initial(config, config.grid), config.grid).validate()
-    except (ConfigError, DomainError) as exc:
-        problems = getattr(exc, "problems", [str(exc)])
-        print(str(ConfigError([f"[initial] {p}" for p in problems])), file=sys.stderr)
-        return EXIT_CONFIG
+        except (ConfigError, DomainError) as exc:
+            problems = getattr(exc, "problems", [str(exc)])
+            raise ConfigError([f"[initial] {p}" for p in problems]) from exc
     print(f"OK: {config.kind} experiment, output -> {config.output_directory}")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_run(args):
-    try:
-        config = parse_config(_read(args.config))
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    code, summary = run_experiment(config, args.output)
+    code, summary = run_experiment(parse_config(_read(args.config)), args.output)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return code
 
@@ -64,33 +58,23 @@ def _override_config_text(text, param, value):
     if "." not in param:
         raise ConfigError([f"--param must look like section.key, got {param!r}"])
     section, key = param.split(".", 1)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(text)
+    parser = read_ini(text)
     if not parser.has_section(section):
         parser.add_section(section)
     parser.set(section, key, value)
-    out = []
-    for sec in parser.sections():
-        out.append(f"[{sec}]")
-        out.extend(f"{k} = {v}" for k, v in parser.items(sec))
-        out.append("")
-    return "\n".join(out)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
 
 
 def _cmd_sweep(args):
     text = _read(args.config)
     values = [v for v in map(str.strip, args.values.split(",")) if v]
-    try:
-        if not values:
-            raise ConfigError([f"--values lists no value: {args.values!r}"])
-        base = parse_config(text)
-        members = []
-        for value in values:
-            member = parse_config(_override_config_text(text, args.param, value))
-            members.append((value, member))
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+    if not values:
+        raise ConfigError([f"--values lists no value: {args.values!r}"])
+    base = parse_config(text)
+    members = [(value, parse_config(_override_config_text(text, args.param, value)))
+               for value in values]
     base_dir = resolve_output_dir(base, args.output)
     key = args.param.split(".", 1)[1]
     outcomes = [(value, run_experiment(member, base_dir / f"{key}={value}"))
@@ -125,7 +109,11 @@ def main(argv=None):
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -121,17 +121,26 @@ class ExperimentConfig:
         return self.values["output"]["directory"]
 
 
+def read_ini(text):
+    """The INI dialect of every config: ``#``/``;`` comments, ``%`` taken literally.
+
+    A syntax error raises :class:`ConfigError`.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError([f"syntax: {exc}"]) from exc
+    return parser
+
+
 def parse_config(text):
     """Parse configuration text into an :class:`ExperimentConfig`.
 
     Raises :class:`ConfigError` carrying the complete list of violations.
     """
     problems = []
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError([f"syntax: {exc}"]) from exc
+    parser = read_ini(text)
 
     # copies, so that no two configs share a default study list
     values = {section: {key: copy.copy(default) for key, (_, default) in keys.items()}
@@ -200,6 +209,11 @@ def _validate(v):
         problems.append("[study] solver must be rbe or ghs")
     if not st["amplitude"] > 0.0:
         problems.append("[study] amplitude must be > 0")
+    res = st["resolutions"]
+    if not res or min(res) < 1 or len(set(res)) < len(res):
+        problems.append("[study] resolutions must list distinct integers >= 1")
+    elif st["variant"] == "spatial" and any(4 * max(res) % r for r in res):
+        problems.append("[study] resolutions must each divide 4 * max(resolutions)")
     return problems
 
 

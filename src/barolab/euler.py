@@ -159,16 +159,6 @@ def step(state, dt, reg, eos, _rhs=None):
     return _rk4(state, dt, _rhs or rhs, reg, eos)
 
 
-def energy_density(state, reg, eos):
-    """Pointwise integrand of the conserved energy."""
-    ux, rx = _gradients(state)
-    da = reg.slope(state.rho)
-    _, v2, _ = eos.potential_derivatives(state.rho)
-    eps = reg.epsilon
-    return (0.5 * state.rho * state.u**2 + eps * state.rho * da * ux**2
-            + eos.potential(state.rho) + eps * da * v2 * rx**2)
-
-
 def momentum_field(state, reg):
     """Nonlocal momentum density ``m = rho u - 2 eps (rho A' u_x)_x``.
 
@@ -177,21 +167,26 @@ def momentum_field(state, reg):
     return SLSystem(state.grid, state.rho, reg).apply(state.u, far=state.grid.u_far)
 
 
-def sup_gradient(state):
-    ux, rx = _gradients(state)
+def sup_gradient(ux, rx):
+    """The blow-up detector's gradient sup-norm ``max(|rho_x|, |u_x|)``."""
     return max(np.max(np.abs(rx)), np.max(np.abs(ux)))
 
 
 def diagnostics(state, reg, eos):
     """Energy, mass, total momentum and gradient sup-norm of a state."""
     grid = state.grid
-    e = energy_density(state, reg, eos)
+    ux, rx = _gradients(state)
+    da = reg.slope(state.rho)
+    _, v2, _ = eos.potential_derivatives(state.rho)
+    eps = reg.epsilon
+    e = (0.5 * state.rho * state.u**2 + eps * state.rho * da * ux**2
+         + eos.potential(state.rho) + eps * da * v2 * rx**2)
     e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos.potential(r))
     return Diagnostics(
         energy=grid.integrate(e, far=e_far),
         mass=grid.integrate(state.rho, far=grid.rho_far),
         momentum=grid.integrate(state.rho * state.u, far=grid._far(mul)),
-        sup_wx=sup_gradient(state),
+        sup_wx=sup_gradient(ux, rx),
     )
 
 
@@ -207,11 +202,11 @@ def _drive(initial, config, eos, advance, row):
     series row ``(t, dt, mass, momentum, energy, sup_wx)``.
     """
     state = initial.validate()
-    threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = config.blowup_factor * (sup_gradient(state) + 1.0)
     result = RunResult(final=state)
     result.series.append(row(state, 0.0))
+    threshold = config.blowup_threshold
+    if threshold is None:
+        threshold = config.blowup_factor * (result.series[0][-1] + 1.0)
     result.snapshots.append((state.t, state))
     t_end = initial.t + config.t_end
     boundary_warned = False

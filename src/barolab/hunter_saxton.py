@@ -98,7 +98,7 @@ def ghs_run(initial, config, reg, eos):
     def row(s, dt):
         grid = s.grid
         return (s.t, dt, grid.integrate(s.rho), grid.integrate(s.rho * s.u),
-                ghs_energy(s, reg, eos), sup_gradient(s))
+                ghs_energy(s, reg, eos), sup_gradient(*_gradients(s)))
 
     return _drive(initial, config, eos, lambda s, dt: ghs_step(s, dt, reg, eos), row)
 

@@ -246,6 +246,17 @@ class TestExperiments:
         written = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert "solve residual" in written["error"] and written["failure_time"] == 0.0
 
+    @pytest.mark.parametrize("kind, study, message", [
+        ("dispersion_study", "modes = 1\namplitude = 0.2", "harmonic content"),
+        ("steady_profile", "points = 65", "usable points"),
+    ], ids=["wave_leaves_the_linear_regime", "fit_with_too_few_points"])
+    def test_failed_measurement_is_a_run_failure(self, tmp_path, kind, study, message):
+        text = MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}") + f"\n[study]\n{study}\n"
+        code, summary = run_experiment(parse_config(text), tmp_path / "m")
+        assert code == 2
+        written = json.loads((tmp_path / "m" / "summary.json").read_text())
+        assert message in written["error"] and written["failure_time"] is None
+
     def test_rbe_run_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL_RBE + "snapshot_every = 20\n")
         code, summary = run_experiment(cfg, tmp_path / "r")
@@ -371,6 +382,15 @@ class TestExperiments:
         assert code == 0
         assert all(abs(o - 2.0) < 0.3 for o in summary["observed_orders"])
 
+    def test_zero_error_study_has_no_order(self, tmp_path):
+        text = MINIMAL_RBE.replace("kind = rbe_run", "kind = convergence_study")
+        text = text.replace("n = 128", "n = 64").replace("kind = sine_bump", "kind = constant")
+        text = text.replace("t_end = 0.05", "t_end = 0.01")
+        text += "\n[study]\nvariant = temporal\nresolutions = 4, 8\n"
+        code, summary = run_experiment(parse_config(text), tmp_path / "z")
+        assert code == 0
+        assert summary["errors"] == [0.0, 0.0] and summary["observed_orders"] == [None]
+
     def test_steady_profile_experiment(self, tmp_path):
         text = MINIMAL_RBE.replace("kind = rbe_run", "kind = steady_profile")
         text += "\n[study]\nmass_flux = 1.0\nmomentum_flux = 1.25\nenergy_flux = 0.5\n"
@@ -407,6 +427,40 @@ class TestCli:
         assert "[initial] " in captured.err and "OK" not in captured.out
         code, _ = run_experiment(parse_config(text), tmp_path / "out")
         assert code == 1  # a run rejects the same data
+
+    @pytest.mark.parametrize("variant, resolutions", [
+        ("spatial", "48, 64"), ("spatial", ""), ("temporal", "0, 8"), ("temporal", "8, 8"),
+    ], ids=["not_dividing_the_reference", "empty", "zero_steps", "repeated"])
+    def test_study_resolutions_are_checked(self, tmp_path, capsys, variant, resolutions):
+        text = MINIMAL_RBE.replace("kind = rbe_run", "kind = convergence_study")
+        path = tmp_path / "res.cfg"
+        path.write_text(text + f"\n[study]\nvariant = {variant}\nresolutions = {resolutions}\n")
+        assert cli.main(["validate", str(path)]) == 1
+        assert "[study] resolutions" in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert "[study] resolutions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
+        path = tmp_path / "pct.cfg"
+        path.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01")
+                        + "\n[output]\ndirectory = out_100%\n")
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 0
+        assert cli.main(["sweep", str(path), "--param", "regularizer.epsilon",
+                         "--values", "0.05"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out_100%" / "summary.json").exists()
+        assert (tmp_path / "out_100%" / "epsilon=0.05" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["run"], ["sweep", "--param", "regularizer.epsilon", "--values", "0.1"],
+    ], ids=["validate", "run", "sweep"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nosuch.cfg")
+        assert cli.main([command[0], missing, *command[1:]]) == 1
+        assert f"cannot read {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
     def test_committed_configs_validate(self, monkeypatch, capsys, name):

@@ -214,6 +214,18 @@ class TestDiagnostics:
         got = bl.diagnostics(st, reg, sw_eos).energy
         assert got == pytest.approx(want, abs=1e-8)
 
+    def test_differentiates_the_state_once(self, sw_eos, cubic_reg, monkeypatch):
+        g = Grid.periodic(1.0, 64)
+        st = sine_bump_state(g)
+        want_sup = max(np.max(np.abs(g.ddx(st.rho))), np.max(np.abs(g.ddx(st.u))))
+        calls = []
+        ddx = Grid.ddx
+        monkeypatch.setattr(Grid, "ddx",
+                            lambda self, *a, **kw: calls.append(1) or ddx(self, *a, **kw))
+        d = bl.diagnostics(st, cubic_reg, sw_eos)
+        assert len(calls) == 2  # u_x and rho_x, shared by the energy and sup_wx
+        assert d.sup_wx == want_sup
+
     def test_momentum_field_is_operator_applied_to_u(self, sw_eos, cubic_reg):
         g = Grid.periodic(1.0, 128)
         st = sine_bump_state(g)
