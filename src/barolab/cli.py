@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 
 from .config import build_initial, parse_config, read_ini
 from .errors import ConfigError, DomainError
 from .euler import State
-from .experiments import EXIT_CONFIG, EXIT_OK, resolve_output_dir, run_experiment
+from .experiments import EXIT_CONFIG, EXIT_OK, resolve_output_dir, run_experiment, write_json
 
 
 def _read(path):
@@ -49,8 +48,9 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
-    code, summary = run_experiment(parse_config(_read(args.config)), args.output)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    config = parse_config(_read(args.config))
+    code, _ = run_experiment(config, args.output)
+    print((resolve_output_dir(config, args.output) / "summary.json").read_text(), end="")
     return code
 
 
@@ -80,10 +80,7 @@ def _cmd_sweep(args):
     outcomes = [(value, run_experiment(member, base_dir / f"{key}={value}"))
                 for value, member in members]
     report = {value: {"exit_code": code, **summary} for value, (code, summary) in outcomes}
-    with open(base_dir / "sweep.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(write_json(base_dir / "sweep.json", report), end="")
     return max(code for _, (code, _) in outcomes)
 
 

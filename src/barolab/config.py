@@ -209,6 +209,15 @@ def _validate(v):
         problems.append("[study] solver must be rbe or ghs")
     if not st["amplitude"] > 0.0:
         problems.append("[study] amplitude must be > 0")
+    if not st["modes"] or min(st["modes"]) < 1:
+        problems.append("[study] modes must list integers >= 1")
+    if not st["epsilons"]:
+        problems.append("[study] epsilons must list at least one value")
+    try:  # each member's regularizer checks its own epsilon
+        for eps in st["epsilons"]:
+            Regularizer.cubic(eps)
+    except DomainError as exc:
+        problems.append(f"[study] epsilons: {exc}")
     res = st["resolutions"]
     if not res or min(res) < 1 or len(set(res)) < len(res):
         problems.append("[study] resolutions must list distinct integers >= 1")

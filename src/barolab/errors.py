@@ -25,7 +25,7 @@ class NumericalBreakdownError(BarolabError, ArithmeticError):
 
 
 class IntegrationError(BarolabError, RuntimeError):
-    """Time integration produced an invalid state.
+    """Time integration produced an invalid state, or a study member blew up before t_end.
 
     Carries the simulation time at which the failure occurred.
     """

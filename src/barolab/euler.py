@@ -18,7 +18,8 @@ Smooth solutions conserve mass, total momentum and the energy
     integral( rho u^2/2 + eps rho A' u_x^2 + V + eps A' V'' rho_x^2 ) dx,
 
 all of which (plus the gradient sup-norm used by the blow-up detector) are
-reported by :func:`diagnostics`.
+reported by :func:`diagnostics`, the source of every series row of both
+systems; each state class supplies the energy its system conserves.
 
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical
@@ -56,6 +57,17 @@ class State:
         if rho.shape != (self.grid.n,) or u.shape != (self.grid.n,):
             raise DomainError("field shapes do not match the grid")
         return self
+
+    def _energy(self, ux, rx, reg, eos):
+        """The energy this system conserves, given the state's gradients ``ux``, ``rx``."""
+        grid = self.grid
+        da = reg.slope(self.rho)
+        _, v2, _ = eos.potential_derivatives(self.rho)
+        eps = reg.epsilon
+        e = (0.5 * self.rho * self.u**2 + eps * self.rho * da * ux**2
+             + eos.potential(self.rho) + eps * da * v2 * rx**2)
+        e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos.potential(r))
+        return grid.integrate(e, far=e_far)
 
 
 @dataclass(frozen=True)
@@ -167,26 +179,15 @@ def momentum_field(state, reg):
     return SLSystem(state.grid, state.rho, reg).apply(state.u, far=state.grid.u_far)
 
 
-def sup_gradient(ux, rx):
-    """The blow-up detector's gradient sup-norm ``max(|rho_x|, |u_x|)``."""
-    return max(np.max(np.abs(rx)), np.max(np.abs(ux)))
-
-
 def diagnostics(state, reg, eos):
-    """Energy, mass, total momentum and gradient sup-norm of a state."""
+    """The conserved energy of the state's system, mass, total momentum and gradient sup-norm."""
     grid = state.grid
     ux, rx = _gradients(state)
-    da = reg.slope(state.rho)
-    _, v2, _ = eos.potential_derivatives(state.rho)
-    eps = reg.epsilon
-    e = (0.5 * state.rho * state.u**2 + eps * state.rho * da * ux**2
-         + eos.potential(state.rho) + eps * da * v2 * rx**2)
-    e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos.potential(r))
     return Diagnostics(
-        energy=grid.integrate(e, far=e_far),
+        energy=state._energy(ux, rx, reg, eos),
         mass=grid.integrate(state.rho, far=grid.rho_far),
         momentum=grid.integrate(state.rho * state.u, far=grid._far(mul)),
-        sup_wx=sup_gradient(ux, rx),
+        sup_wx=max(np.max(np.abs(rx)), np.max(np.abs(ux))),  # the blow-up detector's norm
     )
 
 
@@ -195,12 +196,13 @@ def _before_end(t, t_end):
     return t < t_end - 1e-14 * max(1.0, abs(t_end))
 
 
-def _drive(initial, config, eos, advance, row):
-    """The run loop shared by both systems.
+def _drive(initial, config, reg, eos, advance):
+    """The run loop of both systems: ``advance(state, dt)`` takes one step, and every
+    series row ``(t, dt, mass, momentum, energy, sup_wx)`` comes from :func:`diagnostics`."""
+    def row(state, dt):
+        d = diagnostics(state, reg, eos)
+        return (state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx)
 
-    ``advance(state, dt)`` takes one step and ``row(state, dt)`` gives the
-    series row ``(t, dt, mass, momentum, energy, sup_wx)``.
-    """
     state = initial.validate()
     result = RunResult(final=state)
     result.series.append(row(state, 0.0))
@@ -237,12 +239,8 @@ def run(initial, config, reg, eos, _rhs=None):
     Blow-up is a reported outcome (``result.blowup``), not an error; invalid
     states raise :class:`IntegrationError`.  ``dt`` is recomputed every step.
     """
-    def row(state, dt):
-        d = diagnostics(state, reg, eos)
-        return (state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx)
-
-    return _drive(initial, config, eos,
-                  lambda state, dt: step(state, dt, reg, eos, _rhs=_rhs), row)
+    return _drive(initial, config, reg, eos,
+                  lambda state, dt: step(state, dt, reg, eos, _rhs=_rhs))
 
 
 # -- first-order classical reference ----------------------------------------

@@ -1,9 +1,10 @@
 """Experiment orchestration and all file output.
 
 Every run writes plain CSV (17 significant digits, the lossless round-trip
-precision for doubles) plus a ``summary.json``.  Given the same configuration
-the CSV bodies are byte-identical across runs: there is no randomness anywhere
-in the pipeline and wall-clock timing lives only in the JSON summary.
+precision for doubles) plus a ``summary.json``, each through its one writer,
+:func:`write_csv` or :func:`write_json`.  Given the same configuration the CSV
+bodies are byte-identical across runs: there is no randomness anywhere in the
+pipeline and wall-clock timing lives only in the JSON summary.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .config import build_initial
-from .errors import BarolabError, ConfigError, DomainError
+from .errors import BarolabError, ConfigError, DomainError, IntegrationError
 from .euler import State, reg_source, run, rusanov_run, step
 from .sturm_liouville import SLSystem
 from .grid import Grid
@@ -39,7 +40,7 @@ def _system(name):
 
 
 def _fmt(x):
-    return format(float(x), ".17g")
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def write_csv(path, header, rows):
@@ -47,6 +48,14 @@ def write_csv(path, header, rows):
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_json(path, obj):
+    """Write ``obj`` as JSON (indent 2, sorted keys, final newline); returns the text."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+    return text
 
 
 def write_snapshot(path, grid, rho, u, m, reg_flux=None):
@@ -115,9 +124,7 @@ def run_experiment(config, output_dir=None):
         summary = {"error": str(exc), "failure_time": getattr(exc, "t", None)}
     summary["kind"] = config.kind
     summary["wall_clock_s"] = time.perf_counter() - started
-    with open(outdir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(outdir / "summary.json", summary)
     return code, summary
 
 
@@ -143,18 +150,16 @@ def _run_time_series(config, outdir):
     result = driver(state_cls(0.0, *build_initial(config, grid), grid), config.solver, reg, eos)
 
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, result.series)
-    for idx, (_, state) in enumerate(result.snapshots):
-        path = outdir / f"snapshot_{idx:06d}.csv"
+    index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
+    for (_, _, name), (_, state) in zip(index, result.snapshots):
+        path = outdir / name
         if is_ghs:
             write_snapshot(path, grid, state.rho, state.u, state.rho * state.u)
         else:
             op = SLSystem(grid, state.rho, reg)
             write_snapshot(path, grid, state.rho, state.u, op.apply(state.u, far=grid.u_far),
                            op.smooth(reg_source(state, reg, eos)))
-    with open(outdir / "snapshots_index.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("index,t,filename\n")
-        for idx, (t, _) in enumerate(result.snapshots):
-            f.write(f"{idx},{_fmt(t)},snapshot_{idx:06d}.csv\n")
+    write_csv(outdir / "snapshots_index.csv", "index,t,filename", index)
     summary = {
         "steps": result.steps,
         "final_time": result.final.t,
@@ -193,9 +198,7 @@ def _run_steady_profile(config, outdir):
         x, rho, x0, rho_s = analysis.cusp_profile(
             fluxes, eos, reg, st["rho_start"], n=st["points"], x_max=st["x_max"])
         fit = analysis.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
-        with open(outdir / "fit.json", "w", encoding="utf-8") as f:
-            json.dump(fit.to_report(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(outdir / "fit.json", fit.to_report())
         summary.update(
             alpha=fit.alpha, sonic_density=rho_s, cusp_position=x0,
             predicted_amplitude=analysis.cusp_amplitude_prediction(fluxes, eos, reg, rho_s),
@@ -209,6 +212,13 @@ def _run_steady_profile(config, outdir):
     return EXIT_OK, summary
 
 
+def _final(result, member):
+    """A study member's final state; a member that blew up before ``t_end`` fails the study."""
+    if result.blowup:
+        raise IntegrationError(f"study member {member} blew up before t_end", result.blowup_time)
+    return result.final
+
+
 def _run_epsilon_sweep(config, outdir):
     eos, grid = config.eos, config.grid
     rho0, u0 = build_initial(config, grid)
@@ -217,9 +227,8 @@ def _run_epsilon_sweep(config, outdir):
     rows = []
     for eps in config["study"]["epsilons"]:
         reg = dataclasses.replace(config.regularizer, epsilon=eps)
-        res = run(initial, config.solver, reg, eos)
-        dist = grid.integrate(np.abs(res.final.rho - reference.rho)
-                              + np.abs(res.final.u - reference.u))
+        final = _final(run(initial, config.solver, reg, eos), f"epsilon = {eps}")
+        dist = grid.integrate(np.abs(final.rho - reference.rho) + np.abs(final.u - reference.u))
         rows.append((eps, dist))
     write_csv(outdir / "epsilon_sweep.csv", "epsilon,l1_distance", rows)
     dists = [d for _, d in rows]
@@ -247,7 +256,7 @@ def _run_convergence(config, outdir):
         for n in (*resolutions, ref_n):
             grid = Grid.periodic(config["grid"]["length"], n)
             initial = state_cls(0.0, *build_initial(config, grid), grid)
-            finals[n] = driver(initial, config.solver, reg, eos).final
+            finals[n] = _final(driver(initial, config.solver, reg, eos), f"n = {n}")
         for n in resolutions:
             stride = ref_n // n
             errs.append(float(np.max(np.abs(finals[n].rho - finals[ref_n].rho[::stride]))))

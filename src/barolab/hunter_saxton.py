@@ -18,8 +18,8 @@ ramp into the velocity.
 The source coefficients depend on the regularizer only through ``A''/A'``, so
 replacing ``A`` by ``-A`` leaves the right-hand side bitwise unchanged.
 
-Smooth solutions conserve the gradient energy
-``integral( rho A' u_x^2 + A' V'' rho_x^2 ) dx``.
+Smooth solutions conserve the gradient energy ``integral( rho A' u_x^2 +
+A' V'' rho_x^2 ) dx``, which :func:`barolab.euler.diagnostics` reports.
 
 The module also carries the variational wave equation obtained from the
 inverse regularizer family in mass-Lagrangian coordinates,
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .euler import State, _drive, _gradients, _rk4, sup_gradient
+from .euler import State, _drive, _gradients, _rk4
 from .grid import require_finite
 
 
@@ -51,6 +51,12 @@ class GhsState(State):
         if not self.grid.is_periodic:
             raise DomainError("the Hunter-Saxton system is integrated on periodic grids")
         return super().validate()
+
+    def _energy(self, ux, rx, reg, eos):
+        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
+        da = reg.slope(self.rho)
+        _, v2, _ = eos.potential_derivatives(self.rho)
+        return self.grid.integrate(self.rho * da * ux**2 + da * v2 * rx**2)
 
     def g(self, t):
         if callable(self.forcing):
@@ -82,10 +88,7 @@ def ghs_rhs(state, reg, eos):
 
 def ghs_energy(state, reg, eos):
     """Gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
-    ux, rx = _gradients(state)
-    da = reg.slope(state.rho)
-    _, v2, _ = eos.potential_derivatives(state.rho)
-    return state.grid.integrate(state.rho * da * ux**2 + da * v2 * rx**2)
+    return GhsState._energy(state, *_gradients(state), reg, eos)
 
 
 def ghs_step(state, dt, reg, eos):
@@ -95,12 +98,7 @@ def ghs_step(state, dt, reg, eos):
 
 def ghs_run(initial, config, reg, eos):
     """Advance to ``t_end`` with blow-up detection on the gradient sup-norm."""
-    def row(s, dt):
-        grid = s.grid
-        return (s.t, dt, grid.integrate(s.rho), grid.integrate(s.rho * s.u),
-                ghs_energy(s, reg, eos), sup_gradient(*_gradients(s)))
-
-    return _drive(initial, config, eos, lambda s, dt: ghs_step(s, dt, reg, eos), row)
+    return _drive(initial, config, reg, eos, lambda s, dt: ghs_step(s, dt, reg, eos))
 
 
 # -- variational wave equation (mass-Lagrangian form, inverse family) --------

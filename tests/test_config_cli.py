@@ -257,6 +257,24 @@ class TestExperiments:
         written = json.loads((tmp_path / "m" / "summary.json").read_text())
         assert message in written["error"] and written["failure_time"] is None
 
+    @pytest.mark.parametrize("kind, epsilon, study, member, csv", [
+        ("epsilon_sweep", "0.1", "epsilons = 0.1, 0.001", "epsilon = 0.1", "epsilon_sweep.csv"),
+        ("convergence_study", "0.01", "resolutions = 32, 64", "n = 32", "convergence.csv"),
+    ], ids=["epsilon_sweep", "spatial_convergence"])
+    def test_study_member_that_blows_up_fails_the_study(self, tmp_path, kind, epsilon, study,
+                                                        member, csv):
+        text = MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}")
+        text = text.replace("epsilon = 0.1", f"epsilon = {epsilon}").replace("n = 128", "n = 64")
+        text = text.replace("kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+                            "kind = sine\namplitude = 0.3")
+        text = text.replace("t_end = 0.05", "t_end = 1.0\nblowup_factor = 2")
+        code, _ = run_experiment(parse_config(text + f"\n[study]\n{study}\n"), tmp_path / "s")
+        assert code == 2
+        written = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert f"study member {member} blew up before t_end" in written["error"]
+        assert 0.0 < written["failure_time"] < 1.0
+        assert not (tmp_path / "s" / csv).exists()
+
     def test_rbe_run_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL_RBE + "snapshot_every = 20\n")
         code, summary = run_experiment(cfg, tmp_path / "r")
@@ -440,6 +458,19 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         assert "[study] resolutions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, line, key", [
+        ("dispersion_study", "modes = 0, 2", "modes"),
+        ("dispersion_study", "modes =", "modes"),
+        ("epsilon_sweep", "epsilons = 0.1, -0.5", "epsilons"),
+        ("epsilon_sweep", "epsilons =", "epsilons"),
+    ], ids=["zero_mode", "no_modes", "negative_epsilon", "no_epsilons"])
+    def test_study_modes_and_epsilons_are_checked(self, tmp_path, capsys, kind, line, key):
+        path = tmp_path / "study.cfg"
+        path.write_text(MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}")
+                        + f"\n[study]\n{line}\n")
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"[study] {key}" in capsys.readouterr().err
 
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))

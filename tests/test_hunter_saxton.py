@@ -109,6 +109,11 @@ class TestEnergy:
         st = GhsState(0.0, np.ones(2048), np.sin(2 * np.pi * g.x), g)
         assert bl.ghs_energy(st, cubic_reg, sw_eos) == pytest.approx(np.pi**2, rel=1e-5)
 
+    def test_diagnostics_reports_the_gradient_energy(self, sw_eos, cubic_reg):
+        st = sine_state(Grid.periodic(1.0, 128), a_rho=0.1, a_u=0.2)
+        d = bl.diagnostics(st, cubic_reg, sw_eos)
+        assert d.energy == bl.ghs_energy(st, cubic_reg, sw_eos)
+
     def test_energy_and_mass_conservation(self, sw_eos, cubic_reg):
         g = Grid.periodic(1.0, 512)
         res = bl.ghs_run(sine_state(g), SolverConfig(t_end=0.5, cfl=0.2), cubic_reg, sw_eos)
@@ -129,6 +134,17 @@ class TestRun:
         want = ((t + dt) ** 4 - t**4) / 4
         assert np.max(np.abs((out.u - st.u) - want)) <= 1e-14
         assert np.array_equal(out.rho, st.rho)
+
+    def test_each_row_differentiates_the_state_once(self, sw_eos, cubic_reg, monkeypatch):
+        calls = []
+        ddx = Grid.ddx
+        monkeypatch.setattr(Grid, "ddx",
+                            lambda self, *a, **kw: calls.append(1) or ddx(self, *a, **kw))
+        res = bl.ghs_run(sine_state(Grid.periodic(1.0, 64)), SolverConfig(t_end=0.05, cfl=0.2),
+                         cubic_reg, sw_eos)
+        assert res.steps > 1
+        # five per RK4 stage, then u_x and rho_x once for each series row
+        assert len(calls) == 22 * res.steps + 2
 
     def test_constant_state_identical_after_long_run(self, sw_eos, cubic_reg):
         g = Grid.periodic(1.0, 32)
