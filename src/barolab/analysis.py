@@ -160,13 +160,23 @@ def steady_ode_rhs(rho, fluxes, eos, reg):
 
 
 def sonic_density(mass_flux, eos):
-    """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root)."""
+    """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root).
+
+    ``rho^3 V''`` grows with ``rho`` for both laws, so the bracket [1e-3, 1e3]
+    widens by factors of 1e3 until it holds the root; a bracket end that reaches
+    vacuum or infinity fails the density rule (:class:`DomainError`).
+    """
 
     def f(rho):
         _, v2, _ = eos.potential_derivatives(rho)
         return rho**3 * v2 - mass_flux**2
 
-    return float(brentq(f, 1e-3, 1e3, xtol=1e-14, rtol=1e-15))
+    lo, hi = 1e-3, 1e3
+    while f(lo) > 0.0:
+        lo *= 1e-3
+    while f(hi) < 0.0:
+        hi *= 1e3
+    return float(brentq(f, lo, hi, xtol=1e-14, rtol=1e-15))
 
 
 @dataclass
@@ -175,7 +185,7 @@ class ProfileResult:
     rho: np.ndarray
     stop: str            # "sonic", "turning" or "end"
     x_stop: float
-    sol: object = None   # dense-output interpolant
+    sol: object = None   # dense-output interpolant; None for an equilibrium
 
 
 def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0):
@@ -192,9 +202,7 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
     if abs(v0) <= 1e-12 * max(1.0, rho_start**2):
         # starting from an equilibrium: the constant state is the profile
         xs = np.linspace(0.0, x_max, 256)
-        return ProfileResult(xs, np.full_like(xs, float(rho_start)), "equilibrium", x_max,
-                             sol=lambda x: np.atleast_2d(np.full_like(np.asarray(x, float),
-                                                                      float(rho_start))))
+        return ProfileResult(xs, np.full_like(xs, float(rho_start)), "equilibrium", x_max)
     if v0 < 0.0:
         raise DomainError("squared slope is negative at rho_start; no profile there")
     _, d0 = steady_numer_denom(rho_start, fluxes, eos)
@@ -322,7 +330,7 @@ def fit_singularity_exponent(x, rho, center, rho_ref, inner=None, outer=None):
     if outer is None:
         outer = 0.1 * (x[-1] - x[0])
     if outer <= inner:
-        raise DomainError("fit window is empty; profile too short for the requested window")
+        raise FitUnreliableError("fit window is empty; profile too short for the requested window")
     s = x - center
     dev = np.abs(rho - rho_ref)
     results = []

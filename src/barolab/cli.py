@@ -70,8 +70,8 @@ def _override_config_text(text, param, value):
 def _cmd_sweep(args):
     text = _read(args.config)
     values = [v for v in map(str.strip, args.values.split(",")) if v]
-    if not values:
-        raise ConfigError([f"--values lists no value: {args.values!r}"])
+    if not values or len(set(values)) < len(values):
+        raise ConfigError([f"--values must list distinct values, got {args.values!r}"])
     base = parse_config(text)
     members = [(value, parse_config(_override_config_text(text, args.param, value)))
                for value in values]

@@ -209,6 +209,10 @@ def _validate(v):
         problems.append("[study] solver must be rbe or ghs")
     if not st["amplitude"] > 0.0:
         problems.append("[study] amplitude must be > 0")
+    if not st["x_max"] > 0.0:
+        problems.append("[study] x_max must be > 0")
+    if st["points"] < 1:
+        problems.append("[study] points must be >= 1")
     if not st["modes"] or min(st["modes"]) < 1:
         problems.append("[study] modes must list integers >= 1")
     if not st["epsilons"]:

@@ -58,15 +58,6 @@ def write_json(path, obj):
     return text
 
 
-def write_snapshot(path, grid, rho, u, m, reg_flux=None):
-    cols = [grid.x, rho, u, m]
-    header = "x,rho,u,m"
-    if reg_flux is not None:
-        cols.append(reg_flux)
-        header += ",R"
-    write_csv(path, header, zip(*cols))
-
-
 def read_snapshot(path, grid):
     """Re-ingest a snapshot CSV as an initial condition on ``grid``.
 
@@ -86,10 +77,10 @@ def read_snapshot(path, grid):
 
 
 def resolve_output_dir(config, override=None):
-    directory = Path(override) if override else Path(config.output_directory)
-    root = os.environ.get("BAROLAB_OUTPUT_ROOT")
-    if root and not directory.is_absolute():
-        directory = Path(root) / directory
+    """``override`` or the configured directory, under ``BAROLAB_OUTPUT_ROOT`` when relative;
+    created, and absolute, so that a directory resolved once passes through unchanged."""
+    directory = Path(os.environ.get("BAROLAB_OUTPUT_ROOT", ""),
+                     override or config.output_directory).absolute()
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -152,13 +143,13 @@ def _run_time_series(config, outdir):
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, result.series)
     index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
     for (_, _, name), (_, state) in zip(index, result.snapshots):
-        path = outdir / name
         if is_ghs:
-            write_snapshot(path, grid, state.rho, state.u, state.rho * state.u)
+            header, cols = "x,rho,u,m", (state.rho * state.u,)
         else:
             op = SLSystem(grid, state.rho, reg)
-            write_snapshot(path, grid, state.rho, state.u, op.apply(state.u, far=grid.u_far),
-                           op.smooth(reg_source(state, reg, eos)))
+            header, cols = "x,rho,u,m,R", (op.apply(state.u, far=grid.u_far),
+                                           op.smooth(reg_source(state, reg, eos)))
+        write_csv(outdir / name, header, zip(grid.x, state.rho, state.u, *cols))
     write_csv(outdir / "snapshots_index.csv", "index,t,filename", index)
     summary = {
         "steps": result.steps,
@@ -193,21 +184,20 @@ def _run_steady_profile(config, outdir):
     st = config["study"]
     fluxes = analysis.SteadyFluxes.uniform(
         st["mass_flux"], st["momentum_flux"], st["energy_flux"])
-    summary = {}
     try:
         x, rho, x0, rho_s = analysis.cusp_profile(
             fluxes, eos, reg, st["rho_start"], n=st["points"], x_max=st["x_max"])
-        fit = analysis.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
-        write_json(outdir / "fit.json", fit.to_report())
-        summary.update(
-            alpha=fit.alpha, sonic_density=rho_s, cusp_position=x0,
-            predicted_amplitude=analysis.cusp_amplitude_prediction(fluxes, eos, reg, rho_s),
-        )
     except DomainError:
+        # no sonic point ahead; a domain error of the inputs is raised again here
         res = analysis.integrate_steady_profile(
             fluxes, eos, reg, st["rho_start"], -1, x_max=st["x_max"])
-        x, rho = res.x, res.rho
-        summary.update(alpha=None, stop=res.stop)
+        x, rho, summary = res.x, res.rho, {"alpha": None, "stop": res.stop}
+    else:
+        fit = analysis.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
+        summary = {"alpha": fit.alpha, "sonic_density": rho_s, "cusp_position": x0,
+                   "predicted_amplitude": analysis.cusp_amplitude_prediction(
+                       fluxes, eos, reg, rho_s)}
+        write_json(outdir / "fit.json", fit.to_report())
     write_csv(outdir / "profile.csv", "x,rho", zip(x, rho))
     return EXIT_OK, summary
 

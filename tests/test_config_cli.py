@@ -11,7 +11,7 @@ import pytest
 import barolab as bl
 from barolab import ConfigError, cli, sturm_liouville
 from barolab.config import build_grid, build_initial, parse_config
-from barolab.experiments import read_snapshot, run_experiment
+from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
 
 MINIMAL_RBE = """
@@ -249,13 +249,15 @@ class TestExperiments:
     @pytest.mark.parametrize("kind, study, message", [
         ("dispersion_study", "modes = 1\namplitude = 0.2", "harmonic content"),
         ("steady_profile", "points = 65", "usable points"),
-    ], ids=["wave_leaves_the_linear_regime", "fit_with_too_few_points"])
+        ("steady_profile", "points = 17", "fit window is empty"),
+    ], ids=["wave_leaves_the_linear_regime", "fit_with_too_few_points", "empty_fit_window"])
     def test_failed_measurement_is_a_run_failure(self, tmp_path, kind, study, message):
         text = MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}") + f"\n[study]\n{study}\n"
         code, summary = run_experiment(parse_config(text), tmp_path / "m")
         assert code == 2
         written = json.loads((tmp_path / "m" / "summary.json").read_text())
         assert message in written["error"] and written["failure_time"] is None
+        assert [p.name for p in (tmp_path / "m").iterdir()] == ["summary.json"]
 
     @pytest.mark.parametrize("kind, epsilon, study, member, csv", [
         ("epsilon_sweep", "0.1", "epsilons = 0.1, 0.001", "epsilon = 0.1", "epsilon_sweep.csv"),
@@ -464,7 +466,11 @@ class TestCli:
         ("dispersion_study", "modes =", "modes"),
         ("epsilon_sweep", "epsilons = 0.1, -0.5", "epsilons"),
         ("epsilon_sweep", "epsilons =", "epsilons"),
-    ], ids=["zero_mode", "no_modes", "negative_epsilon", "no_epsilons"])
+        ("steady_profile", "x_max = 0", "x_max"),
+        ("steady_profile", "x_max = -1", "x_max"),
+        ("steady_profile", "points = 0", "points"),
+    ], ids=["zero_mode", "no_modes", "negative_epsilon", "no_epsilons", "zero_x_max",
+            "negative_x_max", "zero_points"])
     def test_study_modes_and_epsilons_are_checked(self, tmp_path, capsys, kind, line, key):
         path = tmp_path / "study.cfg"
         path.write_text(MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}")
@@ -570,12 +576,34 @@ class TestCli:
             for name in names:
                 assert (member / name).read_bytes() == (single / name).read_bytes(), name
 
+    def test_sweep_applies_a_relative_output_root_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", "res")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", "0.1,0.05", "--output", "o"])
+        capsys.readouterr()
+        assert code == 0
+        for value in ("0.1", "0.05"):
+            assert (tmp_path / "res" / "o" / f"epsilon={value}" / "summary.json").exists()
+        assert (tmp_path / "res" / "o" / "sweep.json").exists()
+        assert not (tmp_path / "res" / "res").exists()
+        config = parse_config(cfg.read_text())
+        once = resolve_output_dir(config, "o")
+        assert once == Path.cwd() / "res" / "o" and resolve_output_dir(config, once) == once
+
     def test_sweep_values_are_stripped_and_must_not_be_empty(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
         out = tmp_path / "sw"
         code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
                          "--values", " , ", "--output", str(out)])
+        assert code == 1
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", "0.1, 0.1", "--output", str(out)])
         assert code == 1
         assert "--values" in capsys.readouterr().err
         assert not out.exists()
