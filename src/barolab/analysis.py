@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DomainError, FitUnreliableError, MeasurementInvalidError
 from .euler import SolverConfig, State, run
@@ -166,6 +164,7 @@ def sonic_density(mass_flux, eos):
     widens by factors of 1e3 until it holds the root; a bracket end that reaches
     vacuum or infinity fails the density rule (:class:`DomainError`).
     """
+    from scipy.optimize import brentq  # imported here: only steady profiles need it
 
     def f(rho):
         _, v2, _ = eos.potential_derivatives(rho)
@@ -196,6 +195,8 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
     ``SONIC_PROXIMITY`` of its starting magnitude).  Branch switching at
     turning points is the caller's composition task.
     """
+    from scipy.integrate import solve_ivp  # imported here: only steady profiles need it
+
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
     v0 = steady_ode_rhs(rho_start, fluxes, eos, reg)

@@ -213,6 +213,8 @@ def _validate(v):
         problems.append("[study] x_max must be > 0")
     if st["points"] < 1:
         problems.append("[study] points must be >= 1")
+    if not math.isfinite(st["mass_flux"] * st["mass_flux"]):  # the steady relation squares it
+        problems.append("[study] mass_flux must be finite, with a square below the largest double")
     if not st["modes"] or min(st["modes"]) < 1:
         problems.append("[study] modes must list integers >= 1")
     if not st["epsilons"]:

@@ -96,22 +96,32 @@ class EquationOfState:
             return self.gamma * self.p_bar / self.rho_bar
         return self.p_bar / self.rho_bar
 
+    # Each public method applies the density rule once and hands the checked
+    # array to its unchecked kernel, the one home of the formula; a caller that
+    # has checked the density itself (a solver stage) calls the kernels.
+
     def pressure(self, rho):
-        rho = _check_density(rho)
+        return self._pressure(_check_density(rho))
+
+    def _pressure(self, rho):
         if self.kind == ISENTROPIC:
             return self.p_bar * (rho / self.rho_bar) ** self.gamma
         return self.p_bar * rho / self.rho_bar
 
     def dpressure(self, rho):
         """``dP/drho``; positive for every admissible law (hyperbolicity)."""
-        rho = _check_density(rho)
+        return self._dpressure(_check_density(rho))
+
+    def _dpressure(self, rho):
         if self.kind == ISENTROPIC:
             return self.enthalpy_scale * (rho / self.rho_bar) ** (self.gamma - 1.0)
         return self.enthalpy_scale * np.ones_like(rho)
 
     def enthalpy(self, rho):
         """Specific enthalpy, the integral of ``P'(a)/a`` from ``rho_bar`` to ``rho``."""
-        rho = _check_density(rho)
+        return self._enthalpy(_check_density(rho))
+
+    def _enthalpy(self, rho):
         if self.kind == ISENTROPIC:
             g = self.gamma
             return self.enthalpy_scale * ((rho / self.rho_bar) ** (g - 1.0) - 1.0) / (g - 1.0)
@@ -122,12 +132,13 @@ class EquationOfState:
 
         Nonnegative for every ``rho > 0`` since ``P' > 0``.
         """
-        rho = _check_density(rho)
+        return self._potential(_check_density(rho))
+
+    def _potential(self, rho):
+        r = rho / self.rho_bar
         if self.kind == ISENTROPIC:
             g = self.gamma
-            r = rho / self.rho_bar
             return self.p_bar * (r**g - 1.0 - g * (r - 1.0)) / (g - 1.0)
-        r = rho / self.rho_bar
         return self.p_bar * (r * np.log(r) - r + 1.0)
 
     def potential_derivatives(self, rho):
@@ -135,17 +146,21 @@ class EquationOfState:
 
         ``V'`` is the enthalpy and ``V'' = P'(rho)/rho``.
         """
-        rho = np.asarray(rho, dtype=float)
-        d1 = self.enthalpy(rho)  # applies the density rule
+        rho = _check_density(rho)
+        return (self._enthalpy(rho), *self._curvature(rho))
+
+    def _curvature(self, rho):
+        """``(V'', V''')``: all the solver's coefficients take from the potential."""
         if self.kind == ISENTROPIC:
             g = self.gamma
             d2 = self.enthalpy_scale * rho ** (g - 2.0) / self.rho_bar ** (g - 1.0)
             d3 = (g - 2.0) * self.enthalpy_scale * rho ** (g - 3.0) / self.rho_bar ** (g - 1.0)
-        else:
-            d2 = self.enthalpy_scale / rho
-            d3 = -self.enthalpy_scale / rho**2
-        return d1, d2, d3
+            return d2, d3
+        return self.enthalpy_scale / rho, -self.enthalpy_scale / rho**2
 
     def sound_speed(self, rho):
         """``sqrt(dP/drho)``, equal to ``sqrt(rho*V''(rho))``."""
-        return np.sqrt(self.dpressure(rho))
+        return self._sound_speed(_check_density(rho))
+
+    def _sound_speed(self, rho):
+        return np.sqrt(self._dpressure(rho))

@@ -21,6 +21,15 @@ all of which (plus the gradient sup-norm used by the blow-up detector) are
 reported by :func:`diagnostics`, the source of every series row of both
 systems; each state class supplies the energy its system conserves.
 
+The density rule (finite and positive) runs once per call of :func:`rhs`,
+:func:`reg_source`, :func:`cfl_dt` and :func:`diagnostics`, and once in
+:meth:`State.validate`: seven times per step of the run loop (the CFL step,
+four stages, the re-validated RK4 result and the series row).  Past that
+check every coefficient comes from the unchecked kernels of the equation of
+state and the regularizer.  :func:`rhs` derives the pressure, the source
+coefficients and ``kappa = rho A'`` once per stage and assembles the operator
+from that ``kappa`` through the private assembly that ``SLSystem(...)`` runs.
+
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical
 entropy-solution reference; centred stencils are unstable at ``eps = 0`` near
@@ -38,7 +47,7 @@ import numpy as np
 from .eos import _check_density
 from .errors import DomainError, IntegrationError, NumericalBreakdownError, _require
 from .grid import require_finite
-from .regularizer import composite_coefficients
+from .regularizer import _composite
 from .sturm_liouville import SLSystem
 
 
@@ -59,14 +68,15 @@ class State:
         return self
 
     def _energy(self, ux, rx, reg, eos):
-        """The energy this system conserves, given the state's gradients ``ux``, ``rx``."""
+        """The energy this system conserves, given the state's gradients ``ux``, ``rx``
+        and a density that :func:`diagnostics` has checked."""
         grid = self.grid
-        da = reg.slope(self.rho)
-        _, v2, _ = eos.potential_derivatives(self.rho)
+        da = reg._slopes(self.rho)[0]
+        v2 = eos._curvature(self.rho)[0]
         eps = reg.epsilon
         e = (0.5 * self.rho * self.u**2 + eps * self.rho * da * ux**2
-             + eos.potential(self.rho) + eps * da * v2 * rx**2)
-        e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos.potential(r))
+             + eos._potential(self.rho) + eps * da * v2 * rx**2)
+        e_far = grid._far(lambda r, v: 0.5 * r * v**2 + eos._potential(np.asarray(r)))
         return grid.integrate(e, far=e_far)
 
 
@@ -115,27 +125,34 @@ def _gradients(state):
 
 def reg_source(state, reg, eos):
     """The squared-gradient source ``psi = c_u u_x^2 + c_rho rho_x^2``."""
-    ux, rx = _gradients(state)
-    c_u, c_rho = composite_coefficients(reg, eos, state.rho)
-    return c_u * ux**2 + c_rho * rx**2
+    return _source(_check_density(state.rho), *_gradients(state), reg, eos)[0]
+
+
+def _source(rho, ux, rx, reg, eos):
+    """``(psi, A')`` of a checked density with gradients ``ux``, ``rx``."""
+    c_u, c_rho, da = _composite(reg, eos, rho)
+    return c_u * ux**2 + c_rho * rx**2, da
 
 
 def rhs(state, reg, eos):
-    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``."""
+    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``; one density check per stage."""
     grid = state.grid
-    rho, u = state.rho, state.u
+    rho, u = _check_density(state.rho), state.u
+    ux = grid.ddx(u, far=grid.u_far)
     drho = -grid.ddx(rho * u, far=grid._far(mul))
-    p_far = grid._far(lambda r, _: eos.pressure(r))
-    du = -u * grid.ddx(u, far=grid.u_far) - grid.ddx(eos.pressure(rho), far=p_far) / rho
+    # the far states reach the kernel as the 0-d arrays the checked form makes of them
+    p_far = grid._far(lambda r, _: eos._pressure(np.asarray(r)))
+    du = -u * ux - grid.ddx(eos._pressure(rho), far=p_far) / rho
     if reg.epsilon > 0.0:
-        psi = reg_source(state, reg, eos)
-        du = du - reg.epsilon * SLSystem(grid, rho, reg).solve_dx(psi)
+        psi, da = _source(rho, ux, grid.ddx(rho, far=grid.rho_far), reg, eos)
+        system = SLSystem._assembled(grid, rho, rho * da, reg.epsilon)
+        du = du - reg.epsilon * system.solve_dx(psi)
     return drho, du
 
 
 def cfl_dt(state, eos, cfl):
     """CFL step from the characteristic speed, capped at ``dx``."""
-    speed = np.max(np.abs(state.u) + eos.sound_speed(state.rho))
+    speed = np.max(np.abs(state.u) + eos._sound_speed(_check_density(state.rho)))
     if speed == 0.0:
         return state.grid.dx
     return min(cfl * state.grid.dx / speed, state.grid.dx)
@@ -182,6 +199,7 @@ def momentum_field(state, reg):
 def diagnostics(state, reg, eos):
     """The conserved energy of the state's system, mass, total momentum and gradient sup-norm."""
     grid = state.grid
+    _check_density(state.rho)
     ux, rx = _gradients(state)
     return Diagnostics(
         energy=state._energy(ux, rx, reg, eos),

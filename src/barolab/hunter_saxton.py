@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eos import _check_density
 from .errors import DomainError
 from .euler import State, _drive, _gradients, _rk4
 from .grid import require_finite
@@ -53,9 +54,10 @@ class GhsState(State):
         return super().validate()
 
     def _energy(self, ux, rx, reg, eos):
-        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
-        da = reg.slope(self.rho)
-        _, v2, _ = eos.potential_derivatives(self.rho)
+        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``; the density
+        is checked by the caller."""
+        da = reg._slopes(self.rho)[0]
+        v2 = eos._curvature(self.rho)[0]
         return self.grid.integrate(self.rho * da * ux**2 + da * v2 * rx**2)
 
     def g(self, t):
@@ -88,6 +90,7 @@ def ghs_rhs(state, reg, eos):
 
 def ghs_energy(state, reg, eos):
     """Gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
+    _check_density(state.rho)
     return GhsState._energy(state, *_gradients(state), reg, eos)
 
 

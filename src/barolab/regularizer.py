@@ -59,25 +59,36 @@ class Regularizer:
     def power(cls, epsilon, p):
         return cls(POWER, float(epsilon), p=float(p))
 
+    # Each public method applies the density rule once and hands the checked
+    # array to the unchecked kernel ``_slopes``, the one home of ``A'`` and
+    # ``A''``; a caller that has checked the density itself calls the kernel.
+
     def derivatives(self, rho):
         """Return the tuple ``(A, A', A'', A''')`` at ``rho``."""
         rho = _check_density(rho)
         if self.kind == CUBIC:
-            return rho**3 / 6.0, rho**2 / 2.0, rho, np.ones_like(rho)
-        if self.kind == INVERSE:
+            a, d3a = rho**3 / 6.0, np.ones_like(rho)
+        elif self.kind == INVERSE:
             c = self.a * self.rho_bar
-            return -c / rho, c / rho**2, -2.0 * c / rho**3, 6.0 * c / rho**4
-        p = self.p
-        return (
-            rho**p / p,
-            rho ** (p - 1.0),
-            (p - 1.0) * rho ** (p - 2.0),
-            (p - 1.0) * (p - 2.0) * rho ** (p - 3.0),
-        )
+            a, d3a = -c / rho, 6.0 * c / rho**4
+        else:
+            p = self.p
+            a, d3a = rho**p / p, (p - 1.0) * (p - 2.0) * rho ** (p - 3.0)
+        return (a, *self._slopes(rho), d3a)
 
     def slope(self, rho):
         """``A'(rho)`` alone, strictly positive for every family."""
-        return self.derivatives(rho)[1]
+        return self._slopes(_check_density(rho))[0]
+
+    def _slopes(self, rho):
+        """``(A', A'')`` of an already checked density."""
+        if self.kind == CUBIC:
+            return rho**2 / 2.0, rho
+        if self.kind == INVERSE:
+            c = self.a * self.rho_bar
+            return c / rho**2, -2.0 * c / rho**3
+        p = self.p
+        return rho ** (p - 1.0), (p - 1.0) * rho ** (p - 2.0)
 
 
 def composite_coefficients(reg, eos, rho):
@@ -90,10 +101,15 @@ def composite_coefficients(reg, eos, rho):
     * ``c_rho = (rho V''/A')' A'^2 = (V'' + rho V''') A' - rho V'' A''``
 
     ``c_rho`` may be negative (it is ``-g*rho**2/2`` for the cubic family with
-    the shallow-water law).  The density is checked by the two callees.
+    the shallow-water law).
     """
-    _, da, d2a, _ = reg.derivatives(rho)
-    _, v2, v3 = eos.potential_derivatives(rho)
+    return _composite(reg, eos, _check_density(rho))[:2]
+
+
+def _composite(reg, eos, rho):
+    """``(c_u, c_rho, A')`` of an already checked density, each derivative taken once."""
+    da, d2a = reg._slopes(rho)
+    v2, v3 = eos._curvature(rho)
     c_u = 2.0 * rho * da + rho**2 * d2a
     c_rho = (v2 + rho * v3) * da - rho * v2 * d2a
-    return c_u, c_rho
+    return c_u, c_rho, da

@@ -20,6 +20,12 @@ The bound grows with ``|L| ~ 1/dx^2`` as a backward-stable solve's residual
 does, so it holds on fine grids and still catches a factorization that
 silently degraded, or a NaN or Inf in the data.
 
+``SLSystem(grid, rho, reg)`` applies the density rule once, through
+``reg.slope``, and hands ``kappa`` to the private assembly; the right-hand
+side of :mod:`barolab.euler`, whose stage density is already checked, reaches
+the same assembly with the ``kappa`` it has derived, so there is one assembly
+path and every solve runs the full backward-error guard.
+
 Three derived operations are provided on top of the inverse:
 
 * ``solve(f)``            the inverse itself,
@@ -53,12 +59,24 @@ class SLSystem:
 
     def __init__(self, grid, rho, reg):
         rho = np.asarray(rho, dtype=float)
-        self.kappa = rho * reg.slope(rho)  # the slope applies the density rule
+        kappa = rho * reg.slope(rho)  # the slope applies the density rule
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
+        self._assemble(grid, rho, kappa, reg.epsilon)
+
+    @classmethod
+    def _assembled(cls, grid, rho, kappa, eps):
+        """The operator of a density already checked, with its ``kappa = rho A'``."""
+        system = cls.__new__(cls)
+        system._assemble(grid, rho, kappa, eps)
+        return system
+
+    def _assemble(self, grid, rho, kappa, eps):
+        """Assembly and factorization, the one path of :meth:`__init__` and :meth:`_assembled`."""
+        self.kappa = kappa
         self.grid = grid
         self.rho = rho
-        self.eps = float(reg.epsilon)
+        self.eps = float(eps)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
         # k_face[j] couples cells j-1 and j
@@ -175,7 +193,7 @@ def inverse_family_flux(rho_xi, dxi, eos, reg):
     grid = Grid(LINE, rho_xi.size, dxi, 0.0, (rho_xi[0], rho_xi[-1]), (0.0, 0.0))
     drho = grid.ddx(rho_xi)
     width = np.sqrt(2.0 * reg.epsilon * reg.a * reg.rho_bar)
-    _, v2, v3 = eos.potential_derivatives(rho_xi)
+    v2, v3 = eos._curvature(rho_xi)
     integrand = reg.a * reg.rho_bar * (rho_xi * v3 + 3.0 * v2) * drho**2
     m = int(np.ceil(KERNEL_TRUNCATION * width / dxi))
     weights = exp_kernel(dxi * np.arange(-m, m + 1), width) * dxi

@@ -478,6 +478,29 @@ class TestCli:
         assert cli.main(["validate", str(path)]) == 1
         assert f"[study] {key}" in capsys.readouterr().err
 
+    def test_overflowing_mass_flux_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the steady relation squares the mass flux; 1e160**2 overflows a double
+        monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
+        path = tmp_path / "flux.cfg"
+        path.write_text(MINIMAL_RBE.replace("kind = rbe_run", "kind = steady_profile")
+                        + "\n[study]\nmass_flux = 1e160\n")
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 1
+            assert "[study] mass_flux" in capsys.readouterr().err
+
+    def test_cli_import_leaves_the_steady_profile_solvers_unloaded(self, tmp_path):
+        # scipy.integrate and scipy.optimize serve steady profiles only, so
+        # they are imported by the functions that use them
+        probe = ("import sys, barolab.cli; "
+                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+                 "if m in sys.modules))")
+        src = str(Path(bl.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=pythonpath),
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
         path = tmp_path / "pct.cfg"

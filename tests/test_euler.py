@@ -79,6 +79,49 @@ class TestRhs:
             assert np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
 
     @pytest.mark.parametrize("topology", ["periodic", "line"])
+    @pytest.mark.parametrize("eos", [
+        EquationOfState.isentropic(1.4), EquationOfState.isothermal(1.0, 1.0),
+        EquationOfState.shallow_water(1.0),
+    ], ids=["isentropic", "isothermal", "shallow_water"])
+    @pytest.mark.parametrize("reg", [
+        Regularizer.cubic(0.1), Regularizer.inverse(0.1, 0.8, 1.1), Regularizer.power(0.1, 2.5),
+        Regularizer.cubic(0.0),
+    ], ids=["cubic", "inverse", "power", "eps0"])
+    def test_equals_the_public_composition_bitwise(self, reg, eos, topology):
+        # rhs takes every coefficient from one checked bundle; the public,
+        # separately checked calls must give the same bits
+        if topology == "periodic":
+            st = sine_bump_state(Grid.periodic(1.0, 64))
+        else:
+            g = Grid.line(-4.0, 4.0, 64, rho_far=(1.2, 0.9), u_far=(0.3, -0.1))
+            st = State(0.0, 1.05 - 0.15 * np.tanh(g.x) + 0.2 * np.exp(-g.x**2),
+                       0.1 - 0.2 * np.tanh(g.x), g)
+        g, rho, u = st.grid, st.rho, st.u
+        p_far = g._far(lambda r, _: eos.pressure(r))
+        want_drho = -g.ddx(rho * u, far=g._far(lambda r, v: r * v))
+        want_du = -u * g.ddx(u, far=g.u_far) - g.ddx(eos.pressure(rho), far=p_far) / rho
+        if reg.epsilon > 0.0:
+            psi = bl.reg_source(st, reg, eos)
+            want_du = want_du - reg.epsilon * bl.SLSystem(g, rho, reg).solve_dx(psi)
+        drho, du = bl.rhs(st, reg, eos)
+        assert np.array_equal(drho, want_drho) and np.array_equal(du, want_du)
+
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
+    def test_differentiates_five_times(self, sw_eos, cubic_reg, topology, monkeypatch):
+        # (rho u)_x, u_x, P_x and rho_x of the stage, then psi_x inside the solve
+        if topology == "periodic":
+            st = sine_bump_state(Grid.periodic(1.0, 64))
+        else:
+            g = Grid.line(-4.0, 4.0, 64, rho_far=(1.0, 1.0), u_far=(0.5, 0.5))
+            st = State(0.0, 1.0 + 0.2 * np.exp(-g.x**2), np.full(64, 0.5), g)
+        calls = []
+        ddx = Grid.ddx
+        monkeypatch.setattr(Grid, "ddx",
+                            lambda self, *a, **kw: calls.append(1) or ddx(self, *a, **kw))
+        bl.rhs(st, cubic_reg, sw_eos)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("topology", ["periodic", "line"])
     def test_rhs_and_step_at_65536_cells(self, sw_eos, cubic_reg, topology):
         # |L| grows like 1/dx^2, so a solve residual bounded by |f| alone fails here
         n = 65536
