@@ -38,12 +38,11 @@ MIN_POINTS = 8          # least number of points on either side of the fit windo
 # -- dispersion ---------------------------------------------------------------
 
 def phase_speed(eos):
-    """Theoretical phase speed ``sqrt(rho_bar * V''(rho_bar))``.
+    """Theoretical phase speed, the sound speed ``sqrt(P') = sqrt(rho V'')`` at ``rho_bar``.
 
     Independent of both the wavenumber and the regularization.
     """
-    _, v2, _ = eos.potential_derivatives(eos.rho_bar)
-    return float(np.sqrt(eos.rho_bar * v2))
+    return float(eos.sound_speed(eos.rho_bar))
 
 
 def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):

@@ -22,13 +22,16 @@ reported by :func:`diagnostics`, the source of every series row of both
 systems; each state class supplies the energy its system conserves.
 
 The density rule (finite and positive) runs once per call of :func:`rhs`,
-:func:`reg_source`, :func:`cfl_dt` and :func:`diagnostics`, and once in
-:meth:`State.validate`: seven times per step of the run loop (the CFL step,
-four stages, the re-validated RK4 result and the series row).  Past that
-check every coefficient comes from the unchecked kernels of the equation of
-state and the regularizer.  :func:`rhs` derives the pressure, the source
-coefficients and ``kappa = rho A'`` once per stage and assembles the operator
-from that ``kappa`` through the private assembly that ``SLSystem(...)`` runs.
+:func:`reg_source`, :func:`cfl_dt` and :func:`diagnostics`, of the
+Hunter-Saxton ``ghs_rhs`` and ``ghs_source``, and once in
+:meth:`State.validate`: seven times per step of either system's run loop
+(the CFL step, four stages, the re-validated RK4 result and the series row).
+Past that check every coefficient comes from the unchecked kernels of the
+equation of state and the regularizer, and :func:`_source` is the one home of
+the source coefficients of both systems.  :func:`rhs` derives the pressure,
+the source coefficients and ``kappa = rho A'`` once per stage and assembles
+the operator from that ``kappa`` through the private assembly that
+``SLSystem(...)`` runs.
 
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical

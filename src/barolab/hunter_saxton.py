@@ -1,22 +1,30 @@
 """Periodic integrator for the generalized two-component Hunter-Saxton system.
 
-This is the high-frequency companion of the regularized Euler system: the
-velocity equation keeps only the antiderivative of the squared-gradient
-source,
+This is the high-frequency companion of the regularized Euler system.  At
+high frequency the Sturm-Liouville operator reduces to its leading symbol,
+``L ~ -2 eps d/dx (kappa d/dx .)`` with ``kappa = rho A'``, so the smoothed
+source ``-eps L^{-1} d/dx psi`` of the Euler velocity equation becomes
+``D^{-1}(psi / 2 kappa)``: the source here is the Euler source
+``psi = c_u u_x^2 + c_rho rho_x^2`` over ``2 rho A'``,
 
     rho_t + (rho u)_x = 0
-    u_t + u u_x + enthalpy_x = D^{-1}{ (1 + rho A''/2A') u_x^2
-                                       + ((rho V'')'/2rho - V'' A''/2A') rho_x^2 } + g(t)
+    u_t + u u_x + enthalpy_x = D^{-1}{ (c_u u_x^2 + c_rho rho_x^2) / (2 rho A') } + g(t)
 
 with ``D^{-1}`` the antiderivative anchored at x = 0 and ``g`` a given scalar
-forcing (zero by default).  Exact periodic solutions have a zero-mean source
--- the source equals an exact x-derivative of a periodic quantity -- so the
-discrete source is projected to zero mean before integrating; without the
-projection the discretization error would feed a secular, periodicity-breaking
-ramp into the velocity.
+forcing (zero by default).  The coefficients ``(c_u, c_rho)`` and ``A'`` come
+from :func:`barolab.euler._source`, their one home for both systems.  Exact
+periodic solutions have a zero-mean source -- the source equals an exact
+x-derivative of a periodic quantity -- so the discrete source is projected to
+zero mean before integrating; without the projection the discretization error
+would feed a secular, periodicity-breaking ramp into the velocity.
 
-The source coefficients depend on the regularizer only through ``A''/A'``, so
-replacing ``A`` by ``-A`` leaves the right-hand side bitwise unchanged.
+Replacing ``A`` by ``-A`` leaves the right-hand side bitwise unchanged:
+``c_u``, ``c_rho`` and ``2 rho A'`` are each linear in ``(A', A'')``, so each
+changes sign exactly and the quotient does not move.
+
+As in :func:`barolab.euler.rhs`, :func:`ghs_rhs` applies the density rule once
+per stage and differentiates ``u`` once for the advection and the source;
+past that check every coefficient comes from the unchecked kernels.
 
 Smooth solutions conserve the gradient energy ``integral( rho A' u_x^2 +
 A' V'' rho_x^2 ) dx``, which :func:`barolab.euler.diagnostics` reports.
@@ -35,7 +43,7 @@ import numpy as np
 
 from .eos import _check_density
 from .errors import DomainError
-from .euler import State, _drive, _gradients, _rk4
+from .euler import State, _drive, _gradients, _rk4, _source
 from .grid import require_finite
 
 
@@ -68,24 +76,25 @@ class GhsState(State):
 
 def ghs_source(state, reg, eos):
     """The squared-gradient source of the velocity equation."""
-    ux, rx = _gradients(state)
-    _, da, d2a, _ = reg.derivatives(state.rho)
-    _, v2, v3 = eos.potential_derivatives(state.rho)
-    coeff_u = 1.0 + (state.rho * d2a) / (2.0 * da)
-    coeff_r = (v2 + state.rho * v3) / (2.0 * state.rho) - (v2 * d2a) / (2.0 * da)
-    return coeff_u * ux**2 + coeff_r * rx**2
+    return _ghs_source(_check_density(state.rho), *_gradients(state), reg, eos)
+
+
+def _ghs_source(rho, ux, rx, reg, eos):
+    """The Euler source ``psi`` over ``2 rho A'`` for a checked density."""
+    psi, da = _source(rho, ux, rx, reg, eos)
+    return psi / (2.0 * rho * da)
 
 
 def ghs_rhs(state, reg, eos):
     """Right-hand side ``(d rho/dt, d u/dt)`` with the mean-free antiderivative."""
     grid = state.grid
-    rho, u = state.rho, state.u
-    drho = -grid.ddx(rho * u)
-    source = ghs_source(state, reg, eos)
+    rho, u = _check_density(state.rho), state.u
+    ux = grid.ddx(u)
+    source = _ghs_source(rho, ux, grid.ddx(rho), reg, eos)
     source = source - source.sum() / grid.n
-    du = (-u * grid.ddx(u) - grid.ddx(eos.enthalpy(rho))
+    du = (-u * ux - grid.ddx(eos._enthalpy(rho))
           + grid.antiderivative(source) + state.g(state.t))
-    return drho, du
+    return -grid.ddx(rho * u), du
 
 
 def ghs_energy(state, reg, eos):

@@ -161,6 +161,9 @@ def test_criterion_6_ghs_energy_and_sign_invariance():
         def slope(self, r):
             return -reg.slope(r)
 
+        def _slopes(self, r):
+            return tuple(-d for d in reg._slopes(r))
+
     st = GhsState(0.0, rho0, u0, grid)
     dr1, du1 = bl.ghs_rhs(st, reg, eos)
     dr2, du2 = bl.ghs_rhs(st, Neg(), eos)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from barolab import eos as eos_module, euler, regularizer, sturm_liouville
+from barolab import eos as eos_module, euler, hunter_saxton, regularizer, sturm_liouville
 from barolab import (
     DomainError,
     EquationOfState,
+    GhsState,
     Grid,
     Regularizer,
     SLSystem,
@@ -14,6 +15,9 @@ from barolab import (
     cfl_dt,
     composite_coefficients,
     diagnostics,
+    ghs_rhs,
+    ghs_source,
+    ghs_step,
     inverse_family_flux,
     reg_source,
     rhs,
@@ -26,8 +30,8 @@ GRID16 = Grid.periodic(1.0, 16)
 CUBIC = Regularizer.cubic(0.1)
 
 
-def _state(rho):
-    return State(0.0, rho, np.zeros(16), GRID16)
+def _state(rho, kind=State):
+    return kind(0.0, rho, np.zeros(16), GRID16)
 
 
 # every public function that takes a density, called on a 16-cell field
@@ -42,6 +46,8 @@ DENSITY_TAKERS = {
     "cfl_dt": lambda rho: cfl_dt(_state(rho), GAMMA2, 0.5),
     "diagnostics": lambda rho: diagnostics(_state(rho), CUBIC, GAMMA2),
     "reg_source": lambda rho: reg_source(_state(rho), CUBIC, GAMMA2),
+    "ghs_rhs": lambda rho: ghs_rhs(_state(rho, GhsState), CUBIC, GAMMA2),
+    "ghs_source": lambda rho: ghs_source(_state(rho, GhsState), CUBIC, GAMMA2),
     "inverse_family_flux": lambda rho: inverse_family_flux(
         rho, 0.1, GAMMA2, Regularizer.inverse(0.1)),
 }
@@ -89,7 +95,9 @@ def test_one_density_rule(take, bad):
     take(np.ones(16))
 
 
-def test_one_density_check_per_call(monkeypatch):
+@pytest.fixture
+def density_checks(monkeypatch):
+    """``[count]`` of density-rule calls, counted in every module that applies it."""
     calls = [0]
     check = eos_module._check_density
 
@@ -97,8 +105,13 @@ def test_one_density_check_per_call(monkeypatch):
         calls[0] += 1
         return check(rho)
 
-    for module in (eos_module, regularizer, sturm_liouville, euler):
+    for module in (eos_module, regularizer, sturm_liouville, euler, hunter_saxton):
         monkeypatch.setattr(module, "_check_density", counted)
+    return calls
+
+
+def test_one_density_check_per_call(density_checks):
+    calls = density_checks
     g = Grid.periodic(1.0, 64)
     rho = 1.0 + 0.2 * np.sin(2 * np.pi * g.x)
     GAMMA2.potential_derivatives(rho)
@@ -114,6 +127,19 @@ def test_one_density_check_per_call(monkeypatch):
     calls[0] = 0
     dt = cfl_dt(state, GAMMA2, 0.5)
     diagnostics(step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
+    assert calls[0] <= 7
+
+
+def test_one_density_check_per_ghs_stage(density_checks):
+    calls = density_checks
+    g = Grid.periodic(1.0, 64)
+    state = GhsState(0.0, 1.0 + 0.2 * np.sin(2 * np.pi * g.x), 0.1 * np.cos(2 * np.pi * g.x), g)
+    ghs_rhs(state, CUBIC, GAMMA2)  # the stage's source and enthalpy share one check
+    assert calls[0] == 1
+    # one step of the gHS run loop runs the rule as often as an Euler step
+    calls[0] = 0
+    dt = cfl_dt(state, GAMMA2, 0.5)
+    diagnostics(ghs_step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
     assert calls[0] <= 7
 
 
