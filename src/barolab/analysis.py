@@ -22,7 +22,7 @@ recovers the exponent and one-sided amplitudes by log-log regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,24 +233,26 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
     return ProfileResult(xs, sol.sol(xs)[0], stop, x_stop, sol=sol.sol)
 
 
-def cusp_profile(fluxes, eos, reg, rho_start, n=4097, x_max=10.0):
-    """Two-sided steady profile around a sonic point, sampled uniformly.
+def cusp_profile(profile, fluxes, eos, reg, n=4097):
+    """Two-sided steady profile around the sonic point where ``profile`` stopped.
 
-    Integrates toward the sonic density, locates the cusp position by the
-    local two-thirds model, mirrors the branch and resamples with the cusp
-    exactly on a node.  Returns ``(x, rho, x_center, rho_center)``.
+    Locates the cusp position by the local two-thirds model, mirrors the
+    branch and resamples it uniformly with the cusp exactly on a node.
+    Returns ``(x, rho, x_center, rho_center)``.  ``profile`` is an
+    :func:`integrate_steady_profile` result; one that did not stop at a sonic
+    point raises :class:`DomainError`.
     """
-    res = integrate_steady_profile(fluxes, eos, reg, rho_start, -1, x_max=x_max)
-    if res.stop != "sonic":
-        raise DomainError(f"profile stopped at a {res.stop} point, not a sonic point")
+    if profile.stop != "sonic":
+        raise DomainError(f"profile stopped at {profile.stop!r}, not at a sonic point")
     rho_s = sonic_density(fluxes.mass, eos)
-    rho_c = float(res.sol(res.x_stop)[0])
+    sol, x_stop = profile.sol, profile.x_stop
+    rho_c = float(sol(x_stop)[0])
     v_c = steady_ode_rhs(rho_c, fluxes, eos, reg)
     # local model rho - rho_s ~ (x0 - x)^(2/3)  =>  x0 - x = (2/3)(rho - rho_s)/|rho'|
-    x0 = res.x_stop + (2.0 / 3.0) * (rho_c - rho_s) / np.sqrt(v_c)
+    x0 = x_stop + (2.0 / 3.0) * (rho_c - rho_s) / np.sqrt(v_c)
     half = np.linspace(0.0, x0, (n + 1) // 2)
-    branch = np.where(half <= res.x_stop, res.sol(np.minimum(half, res.x_stop))[0],
-                      rho_s + (rho_c - rho_s) * ((x0 - half) / (x0 - res.x_stop)) ** (2.0 / 3.0))
+    branch = np.where(half <= x_stop, sol(np.minimum(half, x_stop))[0],
+                      rho_s + (rho_c - rho_s) * ((x0 - half) / (x0 - x_stop)) ** (2.0 / 3.0))
     branch[-1] = rho_s
     x = np.concatenate([half, x0 + (x0 - half[-2::-1])])
     rho = np.concatenate([branch, branch[-2::-1]])
@@ -283,8 +285,8 @@ def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic):
 class SingularityFit:
     alpha_left: float
     alpha_right: float
-    amp_left: float
-    amp_right: float
+    rho_amp_left: float
+    rho_amp_right: float
     r2_left: float
     r2_right: float
     window: tuple[float, float]
@@ -294,15 +296,7 @@ class SingularityFit:
         return 0.5 * (self.alpha_left + self.alpha_right)
 
     def to_report(self):
-        return {
-            "alpha_left": self.alpha_left,
-            "alpha_right": self.alpha_right,
-            "rho_amp_left": self.amp_left,
-            "rho_amp_right": self.amp_right,
-            "r2_left": self.r2_left,
-            "r2_right": self.r2_right,
-            "window": list(self.window),
-        }
+        return asdict(self)
 
 
 def _side_fit(t, y):
@@ -342,7 +336,7 @@ def fit_singularity_exponent(x, rho, center, rho_ref, inner=None, outer=None):
         results.append(_side_fit(np.log(np.abs(s[mask])), np.log(dev[mask])))
     fit = SingularityFit(
         alpha_left=results[0][0], alpha_right=results[1][0],
-        amp_left=results[0][1], amp_right=results[1][1],
+        rho_amp_left=results[0][1], rho_amp_right=results[1][1],
         r2_left=results[0][2], r2_right=results[1][2],
         window=(inner, outer),
     )

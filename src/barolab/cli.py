@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -72,6 +73,9 @@ def _cmd_sweep(args):
     values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values or len(set(values)) < len(values):
         raise ConfigError([f"--values must list distinct values, got {args.values!r}"])
+    # each value names its member's directory, <output>/<key>=<value>, which must stay there
+    if any(sep in value for value in values for sep in (os.sep, os.altsep) if sep):
+        raise ConfigError([f"--values must not contain a path separator, got {args.values!r}"])
     base = parse_config(text)
     members = [(value, parse_config(_override_config_text(text, args.param, value)))
                for value in values]

@@ -192,7 +192,7 @@ def _validate(v):
         problems.append(f"[initial] kind must be one of {', '.join(INITIAL_KINDS)}")
     if i["kind"] == "file" and not i["path"]:
         problems.append("[initial] path is required for kind = file")
-    if i["kind"] in ("gaussian_bump", "tanh_front") and not i["width"] > 0.0:
+    if i["kind"] in ("sine_bump", "gaussian_bump", "tanh_front") and not i["width"] > 0.0:
         problems.append("[initial] width must be > 0")
     if i["mode"] < 1:
         problems.append("[initial] mode must be >= 1")
@@ -215,6 +215,11 @@ def _validate(v):
         problems.append("[study] points must be >= 1")
     if not math.isfinite(st["mass_flux"] * st["mass_flux"]):  # the steady relation squares it
         problems.append("[study] mass_flux must be finite, with a square below the largest double")
+    if kind == "steady_profile":  # the steady relation divides by both
+        if v["regularizer"]["epsilon"] == 0.0:
+            problems.append("[regularizer] epsilon must be > 0 for steady_profile")
+        if st["mass_flux"] == 0.0:
+            problems.append("[study] mass_flux must be nonzero for steady_profile")
     if not st["modes"] or min(st["modes"]) < 1:
         problems.append("[study] modes must list integers >= 1")
     if not st["epsilons"]:
@@ -229,6 +234,13 @@ def _validate(v):
         problems.append("[study] resolutions must list distinct integers >= 1")
     elif st["variant"] == "spatial" and any(4 * max(res) % r for r in res):
         problems.append("[study] resolutions must each divide 4 * max(resolutions)")
+    elif kind == "convergence_study" and st["variant"] == "spatial":
+        # the grid's rule on n, on the smallest size: the others and the 4 * max
+        # reference are larger, and [grid] reports a broken length itself
+        try:
+            Grid.periodic(1.0, min(res))
+        except DomainError as exc:
+            problems.append(f"[study] resolutions: {exc}")
     return problems
 
 

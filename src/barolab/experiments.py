@@ -184,15 +184,12 @@ def _run_steady_profile(config, outdir):
     st = config["study"]
     fluxes = analysis.SteadyFluxes.uniform(
         st["mass_flux"], st["momentum_flux"], st["energy_flux"])
-    try:
-        x, rho, x0, rho_s = analysis.cusp_profile(
-            fluxes, eos, reg, st["rho_start"], n=st["points"], x_max=st["x_max"])
-    except DomainError:
-        # no sonic point ahead; a domain error of the inputs is raised again here
-        res = analysis.integrate_steady_profile(
-            fluxes, eos, reg, st["rho_start"], -1, x_max=st["x_max"])
+    res = analysis.integrate_steady_profile(
+        fluxes, eos, reg, st["rho_start"], -1, x_max=st["x_max"])
+    if res.stop != "sonic":
         x, rho, summary = res.x, res.rho, {"alpha": None, "stop": res.stop}
     else:
+        x, rho, x0, rho_s = analysis.cusp_profile(res, fluxes, eos, reg, n=st["points"])
         fit = analysis.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
         summary = {"alpha": fit.alpha, "sonic_density": rho_s, "cusp_position": x0,
                    "predicted_amplitude": analysis.cusp_amplitude_prediction(

@@ -130,10 +130,12 @@ def test_criterion_5_singularity_exponent():
     eos = EquationOfState.shallow_water(1.0)
     reg = Regularizer.cubic(0.1)
     fluxes = SteadyFluxes.uniform(1.0, 1.25, 0.5)  # sonic density 1, N(1) = -1/2
-    x, rho, x0, rho_s = bl.cusp_profile(fluxes, eos, reg, rho_start=1.3, n=4097)
+    profile = bl.integrate_steady_profile(fluxes, eos, reg, rho_start=1.3, direction=-1)
+    x, rho, x0, rho_s = bl.cusp_profile(profile, fluxes, eos, reg, n=4097)
     fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
     predicted = bl.cusp_amplitude_prediction(fluxes, eos, reg, rho_s)
-    amp_err = max(abs(fit.amp_left - predicted), abs(fit.amp_right - predicted)) / predicted
+    amp_err = max(abs(fit.rho_amp_left - predicted),
+                  abs(fit.rho_amp_right - predicted)) / predicted
     ok = (abs(fit.alpha_left - 2 / 3) <= 0.05 and abs(fit.alpha_right - 2 / 3) <= 0.05
           and fit.r2_left >= 0.99 and fit.r2_right >= 0.99 and amp_err <= 0.05)
     report(5, "two-thirds singularity", ok,

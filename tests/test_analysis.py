@@ -147,13 +147,21 @@ class TestProfileIntegration:
 
     def test_cusp_profile_two_thirds_exponent(self, sw_eos, cubic_reg):
         fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
-        x, rho, x0, rho_s = bl.cusp_profile(fx, sw_eos, cubic_reg, 1.3, n=2049)
+        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1)
+        x, rho, x0, rho_s = bl.cusp_profile(profile, fx, sw_eos, cubic_reg, n=2049)
         fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
         assert fit.alpha == pytest.approx(2.0 / 3.0, abs=0.05)
         assert fit.r2_left >= 0.99 and fit.r2_right >= 0.99
         predicted = bl.cusp_amplitude_prediction(fx, sw_eos, cubic_reg, rho_s)
-        assert fit.amp_left == pytest.approx(predicted, rel=0.05)
-        assert fit.amp_right == pytest.approx(predicted, rel=0.05)
+        assert fit.rho_amp_left == pytest.approx(predicted, rel=0.05)
+        assert fit.rho_amp_right == pytest.approx(predicted, rel=0.05)
+
+    def test_cusp_profile_needs_a_sonic_stop(self, sw_eos, cubic_reg):
+        fx = SteadyFluxes.uniform(0.5, 0.25, 0.0625)
+        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.5, -1)
+        assert profile.stop == "turning"
+        with pytest.raises(DomainError):
+            bl.cusp_profile(profile, fx, sw_eos, cubic_reg)
 
 
 class TestExponentFitter:
@@ -185,7 +193,7 @@ class TestExponentFitter:
                                           inner=1e-3, outer=0.1)
         assert fit.alpha_left == pytest.approx(alpha, abs=1e-3)
         assert fit.alpha_right == pytest.approx(alpha, abs=1e-3)
-        assert fit.amp_left == pytest.approx(0.7, rel=1e-3)
+        assert fit.rho_amp_left == pytest.approx(0.7, rel=1e-3)
 
     def test_unreliable_fit_raises_with_diagnostics(self):
         rng = np.random.default_rng(9)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import barolab as bl
-from barolab import ConfigError, cli, sturm_liouville
+from barolab import ConfigError, analysis, cli, sturm_liouville
 from barolab.config import build_grid, build_initial, parse_config
 from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
@@ -103,6 +103,36 @@ class TestParsing:
         path.write_text(text)
         assert cli.main(["validate", str(path)]) == 1
         assert f"[{section}] " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, prefix", [
+        ("[experiment]\nkind = rbe_run\n", "", "[experiment] kind"),
+        ("kind = rbe_run", "kind = no_such_run", "[experiment] kind"),
+        ("kind = sine_bump", "kind = no_such_preset", "[initial] kind"),
+        ("kind = sine_bump", "kind = file", "[initial] path"),
+        ("kind = sine_bump", "kind = sine_bump\nmode = 0", "[initial] mode"),
+        ("cfl = 0.3", "cfl = 0.3\non_blowup = ignore", "[solver] on_blowup"),
+        ("[solver]", "[study]\nvariant = both\n\n[solver]", "[study] variant"),
+        ("[solver]", "[study]\nsolver = euler\n\n[solver]", "[study] solver"),
+        ("[solver]", "[study]\namplitude = 0\n\n[solver]", "[study] amplitude"),
+        ("kind = shallow_water", "kind = polytropic", "[eos] kind"),
+        ("n = 128", "topology = ring\nn = 128", "[grid] topology"),
+    ], ids=["no_experiment_kind", "unknown_experiment_kind", "unknown_initial_kind",
+            "file_without_path", "zero_mode", "unknown_on_blowup", "unknown_variant",
+            "unknown_study_solver", "zero_amplitude", "unknown_eos_kind", "unknown_topology"])
+    def test_every_rule_names_its_key(self, old, new, prefix):
+        assert old in MINIMAL_RBE
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RBE.replace(old, new))
+        assert any(p.startswith(prefix) for p in err.value.problems), err.value.problems
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("kind = rbe_run\n", "syntax: "),
+        (MINIMAL_RBE + "\n[nosuch]\nkey = 1\n", "unknown section [nosuch]"),
+    ], ids=["no_section_header", "unknown_section"])
+    def test_unreadable_text_is_named(self, text, prefix):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(p.startswith(prefix) for p in err.value.problems), err.value.problems
 
     def test_every_broken_rule_reported_across_sections(self):
         bad = MINIMAL_RBE.replace("kind = shallow_water",
@@ -420,6 +450,34 @@ class TestExperiments:
         assert abs(report["alpha_left"] - 2 / 3) < 0.05
         assert abs(summary["alpha"] - 2 / 3) < 0.05
 
+    @pytest.mark.parametrize("fluxes, rho_start, stop", [
+        ("1.0, 1.25, 0.5", 1.3, "sonic"),
+        ("0.5, 0.25, 0.0625", 1.5, "turning"),
+        ("2, 3.5, 3", 2.5, "end"),
+        ("0.5, 0.25, 0.0625", 1.0, "equilibrium"),
+    ], ids=["sonic", "turning", "end", "equilibrium"])
+    def test_steady_profile_integrates_once(self, tmp_path, monkeypatch, fluxes, rho_start,
+                                            stop):
+        calls = []
+        integrate = analysis.integrate_steady_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate_steady_profile", counted)
+        i, s, f = fluxes.split(", ")
+        text = MINIMAL_RBE.replace("kind = rbe_run", "kind = steady_profile")
+        text += (f"\n[study]\nmass_flux = {i}\nmomentum_flux = {s}\nenergy_flux = {f}\n"
+                 f"rho_start = {rho_start}\n")
+        out = tmp_path / "sp"
+        code, summary = run_experiment(parse_config(text), out)
+        assert code == 0 and len(calls) == 1
+        assert summary.get("stop", "sonic") == stop
+        assert (summary["alpha"] is None) == (stop != "sonic")
+        assert (out / "fit.json").exists() == (stop == "sonic")
+        assert (out / "profile.csv").exists()
+
 
 class TestCli:
     def test_validate_ok_and_bad(self, tmp_path):
@@ -450,7 +508,8 @@ class TestCli:
 
     @pytest.mark.parametrize("variant, resolutions", [
         ("spatial", "48, 64"), ("spatial", ""), ("temporal", "0, 8"), ("temporal", "8, 8"),
-    ], ids=["not_dividing_the_reference", "empty", "zero_steps", "repeated"])
+        ("spatial", "2, 4"),
+    ], ids=["not_dividing_the_reference", "empty", "zero_steps", "repeated", "below_grid_minimum"])
     def test_study_resolutions_are_checked(self, tmp_path, capsys, variant, resolutions):
         text = MINIMAL_RBE.replace("kind = rbe_run", "kind = convergence_study")
         path = tmp_path / "res.cfg"
@@ -459,6 +518,22 @@ class TestCli:
         assert "[study] resolutions" in capsys.readouterr().err
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         assert "[study] resolutions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, old, new, prefix", [
+        ("rbe_run", "kind = sine_bump", "kind = sine_bump\nwidth = 0", "[initial] width"),
+        ("steady_profile", "epsilon = 0.1", "epsilon = 0", "[regularizer] epsilon"),
+        ("steady_profile", "[solver]", "[study]\nmass_flux = 0\n\n[solver]", "[study] mass_flux"),
+    ], ids=["sine_bump_zero_width", "steady_zero_epsilon", "steady_zero_mass_flux"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, old, new, prefix):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}").replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", str(path)]) == 1
+        assert prefix in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert prefix in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, line, key", [
@@ -637,3 +712,26 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["epsilon=0.05",
                                                                        "epsilon=0.1"]
         assert set(json.loads((out / "sweep.json").read_text())) == {"0.1", "0.05"}
+
+    @pytest.mark.parametrize("values, altsep", [
+        ("a/../../..,b", None), ("b,..\\..\\x", "\\"),
+    ], ids=["sep", "altsep"])
+    def test_sweep_values_stay_inside_the_sweep_directory(self, tmp_path, capsys, monkeypatch,
+                                                          values, altsep):
+        monkeypatch.setattr(os, "altsep", altsep)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        code = cli.main(["sweep", str(cfg), "--param", "output.directory",
+                         "--values", values, "--output", str(tmp_path / "x" / "y" / "sw")])
+        assert code == 1
+        assert "path separator" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_param_must_name_a_section_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        code = cli.main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.1",
+                         "--output", str(tmp_path / "sw")])
+        assert code == 1
+        assert "--param must look like section.key" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
