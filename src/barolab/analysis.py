@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .eos import _check_density
 from .errors import DomainError, FitUnreliableError, MeasurementInvalidError
 from .euler import SolverConfig, State, run
 from .grid import Grid
@@ -130,14 +131,24 @@ def far_field_fluxes(rho_left, u_left, rho_right, u_right, eos):
     return SteadyFluxes(i_l, s_l, f_l, f_r, mass_mismatch=i_r - i_l, momentum_mismatch=s_r - s_l)
 
 
+# Each public function of the steady relation applies the density rule once and
+# takes V, V'', V''' and A' from the unchecked kernels, as the solvers do.  The
+# kernels take the checked array and the powers of the density take it as given:
+# numpy's powers of a 0-d array can differ from Python's float powers in the last
+# bit, which would move every profile.
+
 def steady_numer_denom(rho, fluxes, eos):
     """Numerator and denominator of the steady squared-slope relation."""
+    return _numer_denom(rho, _check_density(rho), fluxes, eos)
+
+
+def _numer_denom(rho, checked, fluxes, eos):
+    """``(N, D)`` at ``rho``, whose density rule has passed as ``checked``."""
     i, s = fluxes.mass, fluxes.momentum
     f = fluxes.energy_right  # F+, the right far field's; F- differs only across a shock
-    v = eos.potential(rho)
-    _, v2, _ = eos.potential_derivatives(rho)
+    v = eos._potential(checked)
     numer = i**2 - 2.0 * s * rho + 2.0 * (f / i) * rho**2 - 2.0 * rho * v
-    denom = i**2 - rho**3 * v2
+    denom = i**2 - rho**3 * eos._curvature(checked)[0]
     return numer, denom
 
 
@@ -151,9 +162,31 @@ def steady_ode_rhs(rho, fluxes, eos, reg):
         raise DomainError("steady profiles need epsilon > 0")
     if fluxes.mass == 0.0:
         raise DomainError("steady profiles need a nonzero mass flux")
-    numer, denom = steady_numer_denom(rho, fluxes, eos)
-    da = reg.slope(rho)
-    return float(rho**2 * numer / (2.0 * reg.epsilon * da * denom))
+    checked = _check_density(rho)
+    numer, denom = _numer_denom(rho, checked, fluxes, eos)
+    return float(rho**2 * numer / (2.0 * reg.epsilon * reg._slopes(checked)[0] * denom))
+
+
+def check_steady_start(fluxes, eos, reg, rho_start):
+    """The start rule of a steady profile; returns whether ``rho_start`` is an equilibrium.
+
+    ``rho_start`` must pass the density rule, and the squared slope there must
+    be finite (it diverges at the sonic density) and not negative
+    (:class:`DomainError` otherwise); a squared slope within
+    ``1e-12 * max(1, rho_start**2)`` of zero is an equilibrium.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            v0 = steady_ode_rhs(rho_start, fluxes, eos, reg)
+        except OverflowError:  # a float power of a huge density
+            v0 = np.inf
+    if not np.isfinite(v0):
+        raise DomainError("squared slope is not finite at rho_start; no profile there")
+    if abs(v0) <= 1e-12 * max(1.0, rho_start**2):
+        return True
+    if v0 < 0.0:
+        raise DomainError("squared slope is negative at rho_start; no profile there")
+    return False
 
 
 def sonic_density(mass_flux, eos):
@@ -198,13 +231,10 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
 
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
-    v0 = steady_ode_rhs(rho_start, fluxes, eos, reg)
-    if abs(v0) <= 1e-12 * max(1.0, rho_start**2):
+    if check_steady_start(fluxes, eos, reg, rho_start):
         # starting from an equilibrium: the constant state is the profile
         xs = np.linspace(0.0, x_max, 256)
         return ProfileResult(xs, np.full_like(xs, float(rho_start)), "equilibrium", x_max)
-    if v0 < 0.0:
-        raise DomainError("squared slope is negative at rho_start; no profile there")
     _, d0 = steady_numer_denom(rho_start, fluxes, eos)
 
     def slope(x, y):
@@ -269,11 +299,11 @@ def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic):
 
     since the expanded denominator itself carries one factor of the amplitude.
     """
-    numer, _ = steady_numer_denom(rho_sonic, fluxes, eos)
-    _, _, v3 = eos.potential_derivatives(rho_sonic)
-    da = float(reg.slope(rho_sonic))
+    checked = _check_density(rho_sonic)
+    numer, _ = _numer_denom(rho_sonic, checked, fluxes, eos)
+    da = float(reg._slopes(checked)[0])
     amp3 = (9.0 * rho_sonic**3 / (8.0 * reg.epsilon * da)) * (
-        -numer / (3.0 * fluxes.mass**2 + rho_sonic**4 * v3))
+        -numer / (3.0 * fluxes.mass**2 + rho_sonic**4 * eos._curvature(checked)[1]))
     if amp3 <= 0.0:
         raise DomainError("the local analysis admits no real cusp amplitude here")
     return float(np.cbrt(amp3))

@@ -23,10 +23,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import build_initial, parse_config, read_ini
-from .errors import ConfigError, DomainError
-from .euler import State
-from .experiments import EXIT_CONFIG, EXIT_OK, resolve_output_dir, run_experiment, write_json
+from .config import parse_config, read_ini
+from .errors import ConfigError
+from .experiments import (EXIT_CONFIG, EXIT_OK, initial_states, resolve_output_dir,
+                          run_experiment, write_json)
 
 
 def _read(path):
@@ -38,12 +38,7 @@ def _read(path):
 
 def _cmd_validate(args):
     config = parse_config(_read(args.config))
-    if config.kind not in ("dispersion_study", "steady_profile"):  # they build no initial data
-        try:
-            State(0.0, *build_initial(config, config.grid), config.grid).validate()
-        except (ConfigError, DomainError) as exc:
-            problems = getattr(exc, "problems", [str(exc)])
-            raise ConfigError([f"[initial] {p}" for p in problems]) from exc
+    initial_states(config)
     print(f"OK: {config.kind} experiment, output -> {config.output_directory}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import SteadyFluxes, check_steady_start
 from .eos import EquationOfState
 from .errors import ConfigError, DomainError, _require
 from .euler import SolverConfig
@@ -169,6 +170,15 @@ def parse_config(text):
             problems.append(f"[{section}] {exc}")
             if section == "eos":
                 values["eos"]["rho_bar"] = _SCHEMA["eos"]["rho_bar"][1]
+    # the profile's start rule, once the sections the steady relation reads are sound
+    if values["experiment"]["kind"] == "steady_profile" and not any(
+            p.startswith(("[eos]", "[regularizer]", "[study]")) for p in problems):
+        st = values["study"]
+        fluxes = SteadyFluxes.uniform(st["mass_flux"], st["momentum_flux"], st["energy_flux"])
+        try:
+            check_steady_start(fluxes, built["eos"], built["regularizer"], st["rho_start"])
+        except DomainError as exc:
+            problems.append(f"[study] rho_start: {exc}")
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(values["experiment"]["kind"], built["eos"], built["regularizer"],
@@ -215,6 +225,9 @@ def _validate(v):
         problems.append("[study] points must be >= 1")
     if not math.isfinite(st["mass_flux"] * st["mass_flux"]):  # the steady relation squares it
         problems.append("[study] mass_flux must be finite, with a square below the largest double")
+    for key in ("momentum_flux", "energy_flux"):
+        if not math.isfinite(st[key]):
+            problems.append(f"[study] {key} must be finite")
     if kind == "steady_profile":  # the steady relation divides by both
         if v["regularizer"]["epsilon"] == 0.0:
             problems.append("[regularizer] epsilon must be > 0 for steady_profile")

@@ -76,6 +76,31 @@ def read_snapshot(path, grid):
     return np.ascontiguousarray(data["rho"]), np.ascontiguousarray(data["u"])
 
 
+def initial_states(config):
+    """The validated initial state of every grid the run integrates, in the run's order.
+
+    That is the ``[grid]`` state for ``rbe_run``, ``ghs_run``, ``epsilon_sweep`` and a
+    temporal ``convergence_study``; one state per ``[study] resolutions`` size and then
+    the 4 * max reference for a spatial study; none for ``dispersion_study`` and
+    ``steady_profile``.  Each has its system's state class.  Initial data that cannot
+    be built, or a state that fails its own check, raises one :class:`ConfigError`
+    whose problems start with ``[initial]``.
+    """
+    kind, st = config.kind, config["study"]
+    if kind in ("dispersion_study", "steady_profile"):
+        return []
+    grids = [config.grid]
+    if kind == "convergence_study" and st["variant"] == "spatial":
+        grids = [Grid.periodic(config["grid"]["length"], n)
+                 for n in (*st["resolutions"], 4 * max(st["resolutions"]))]
+    state_cls = _system({"ghs_run": "ghs", "convergence_study": st["solver"]}.get(kind, "rbe"))[0]
+    try:
+        return [state_cls(0.0, *build_initial(config, grid), grid).validate() for grid in grids]
+    except (ConfigError, DomainError) as exc:
+        problems = getattr(exc, "problems", [str(exc)])
+        raise ConfigError([f"[initial] {p}" for p in problems]) from exc
+
+
 def resolve_output_dir(config, override=None):
     """``override`` or the configured directory, under ``BAROLAB_OUTPUT_ROOT`` when relative;
     created, and absolute, so that a directory resolved once passes through unchanged."""
@@ -137,8 +162,9 @@ def _run_time_series(config, outdir):
     grid = config.grid
     reg, eos = config.regularizer, config.eos
     is_ghs = config.kind == "ghs_run"
-    state_cls, driver, _ = _system(config.kind.removesuffix("_run"))
-    result = driver(state_cls(0.0, *build_initial(config, grid), grid), config.solver, reg, eos)
+    _, driver, _ = _system(config.kind.removesuffix("_run"))
+    initial, = initial_states(config)
+    result = driver(initial, config.solver, reg, eos)
 
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, result.series)
     index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
@@ -208,8 +234,7 @@ def _final(result, member):
 
 def _run_epsilon_sweep(config, outdir):
     eos, grid = config.eos, config.grid
-    rho0, u0 = build_initial(config, grid)
-    initial = State(0.0, rho0, u0, grid)
+    initial, = initial_states(config)
     reference = rusanov_run(initial, config.solver.t_end, eos)
     rows = []
     for eps in config["study"]["epsilons"]:
@@ -235,20 +260,17 @@ def _run_convergence(config, outdir):
     st = config["study"]
     resolutions = st["resolutions"]
     t_end = config.solver.t_end
-    state_cls, driver, stepper = _system(st["solver"])
+    _, driver, stepper = _system(st["solver"])
+    initials = initial_states(config)
     errs = []
     if st["variant"] == "spatial":
-        ref_n = 4 * max(resolutions)
-        finals = {}
-        for n in (*resolutions, ref_n):
-            grid = Grid.periodic(config["grid"]["length"], n)
-            initial = state_cls(0.0, *build_initial(config, grid), grid)
-            finals[n] = _final(driver(initial, config.solver, reg, eos), f"n = {n}")
-        for n in resolutions:
-            stride = ref_n // n
-            errs.append(float(np.max(np.abs(finals[n].rho - finals[ref_n].rho[::stride]))))
+        *finals, ref = [_final(driver(initial, config.solver, reg, eos), f"n = {initial.grid.n}")
+                        for initial in initials]
+        for final in finals:
+            stride = ref.grid.n // final.grid.n
+            errs.append(float(np.max(np.abs(final.rho - ref.rho[::stride]))))
     else:
-        initial = state_cls(0.0, *build_initial(config, config.grid), config.grid)
+        initial, = initials
         ref = _fixed_dt_advance(initial, t_end, 8 * max(resolutions), reg, eos, stepper)
         for steps in resolutions:
             final = _fixed_dt_advance(initial, t_end, steps, reg, eos, stepper)

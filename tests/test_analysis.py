@@ -10,7 +10,7 @@ from barolab import (
     Regularizer,
     SteadyFluxes,
 )
-from barolab.analysis import steady_numer_denom
+from barolab.analysis import check_steady_start, steady_numer_denom
 
 
 class TestPhaseSpeedTheory:
@@ -99,6 +99,8 @@ class TestSteadyOde:
         assert bl.sonic_density(2.0, sw_eos) == pytest.approx(4.0 ** (1 / 3), rel=1e-12)
         # below the initial bracket [1e-3, 1e3], which then widens
         assert bl.sonic_density(1e-5, sw_eos) == pytest.approx(1e-10 ** (1 / 3), rel=1e-12)
+        # above it
+        assert bl.sonic_density(1e5, sw_eos) == pytest.approx(1e10 ** (1 / 3), rel=1e-12)
 
     def test_sign_map_matches_symbolic_oracle(self, sw_eos, cubic_reg):
         fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
@@ -138,6 +140,25 @@ class TestProfileIntegration:
         with pytest.raises(DomainError):
             bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 0.8, 1)
 
+    @pytest.mark.parametrize("rho_start, message", [
+        (0.8, "negative"), (1.0, "not finite"), (1e200, "not finite"), (-1.0, "vacuum"),
+    ], ids=["negative_slope", "sonic", "overflow", "vacuum"])
+    def test_start_rule_rejects(self, sw_eos, cubic_reg, rho_start, message):
+        fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
+        with pytest.raises(DomainError, match=message):
+            check_steady_start(fx, sw_eos, cubic_reg, rho_start)
+
+    def test_start_rule_names_an_equilibrium(self, sw_eos, cubic_reg):
+        fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
+        assert check_steady_start(fx, sw_eos, cubic_reg, 1.3) is False
+        fx = SteadyFluxes.uniform(0.5, 0.25, 0.0625)
+        assert check_steady_start(fx, sw_eos, cubic_reg, 1.0) is True
+
+    def test_direction_must_be_a_sign(self, sw_eos, cubic_reg):
+        fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
+        with pytest.raises(DomainError, match="direction must be"):
+            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, 0)
+
     def test_stops_at_sonic_point(self, sw_eos, cubic_reg):
         fx = SteadyFluxes.uniform(1.0, 1.25, 0.5)
         res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1)
@@ -155,6 +176,10 @@ class TestProfileIntegration:
         predicted = bl.cusp_amplitude_prediction(fx, sw_eos, cubic_reg, rho_s)
         assert fit.rho_amp_left == pytest.approx(predicted, rel=0.05)
         assert fit.rho_amp_right == pytest.approx(predicted, rel=0.05)
+
+    def test_cusp_amplitude_needs_a_real_root(self, sw_eos, cubic_reg):
+        with pytest.raises(DomainError, match="no real cusp amplitude"):
+            bl.cusp_amplitude_prediction(SteadyFluxes.uniform(1, 0, 0), sw_eos, cubic_reg, 1.0)
 
     def test_cusp_profile_needs_a_sonic_stop(self, sw_eos, cubic_reg):
         fx = SteadyFluxes.uniform(0.5, 0.25, 0.0625)

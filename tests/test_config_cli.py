@@ -524,7 +524,17 @@ class TestCli:
         ("rbe_run", "kind = sine_bump", "kind = sine_bump\nwidth = 0", "[initial] width"),
         ("steady_profile", "epsilon = 0.1", "epsilon = 0", "[regularizer] epsilon"),
         ("steady_profile", "[solver]", "[study]\nmass_flux = 0\n\n[solver]", "[study] mass_flux"),
-    ], ids=["sine_bump_zero_width", "steady_zero_epsilon", "steady_zero_mass_flux"])
+        ("steady_profile", "[solver]", "[study]\nrho_start = 0.8\n\n[solver]",
+         "[study] rho_start: squared slope is negative"),
+        ("steady_profile", "[solver]", "[study]\nrho_start = -1\n\n[solver]",
+         "[study] rho_start: density reached vacuum"),
+        ("steady_profile", "[solver]", "[study]\nrho_start = 1.0\n\n[solver]",
+         "[study] rho_start: squared slope is not finite"),
+        ("steady_profile", "[solver]", "[study]\nenergy_flux = inf\n\n[solver]",
+         "[study] energy_flux must be finite"),
+    ], ids=["sine_bump_zero_width", "steady_zero_epsilon", "steady_zero_mass_flux",
+            "steady_negative_start_slope", "steady_negative_start", "steady_sonic_start",
+            "steady_infinite_energy_flux"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, old, new, prefix):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}").replace(old, new))
@@ -535,6 +545,23 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         assert prefix in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_validate_builds_every_grid_a_study_integrates(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a spatial study integrates its resolutions and their reference, not [grid] n
+        monkeypatch.chdir(CONFIGS)  # where the 64-row snapshot lives
+        path = tmp_path / "study.cfg"
+        path.write_text("[experiment]\nkind = convergence_study\n\n[grid]\nn = 64\n\n"
+                        "[initial]\nkind = file\npath = snapshot_periodic_64.csv\n\n"
+                        "[solver]\nt_end = 0.01\n\n"
+                        "[study]\nvariant = spatial\nresolutions = 16, 32\n")
+        message = "[initial] snapshot snapshot_periodic_64.csv has 64 rows, grid has 16"
+        assert cli.main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert message in summary["error"]
 
     @pytest.mark.parametrize("kind, line, key", [
         ("dispersion_study", "modes = 0, 2", "modes"),
@@ -726,6 +753,11 @@ class TestCli:
         assert code == 1
         assert "path separator" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_override_adds_a_missing_section(self):
+        assert "[output]" not in MINIMAL_RBE
+        text = cli._override_config_text(MINIMAL_RBE, "output.directory", "elsewhere")
+        assert parse_config(text).output_directory == "elsewhere"
 
     def test_sweep_param_must_name_a_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from barolab import eos as eos_module, euler, hunter_saxton, regularizer, sturm_liouville
+from barolab import analysis, eos as eos_module, euler, hunter_saxton, regularizer, sturm_liouville
 from barolab import (
     DomainError,
     EquationOfState,
@@ -105,7 +105,7 @@ def density_checks(monkeypatch):
         calls[0] += 1
         return check(rho)
 
-    for module in (eos_module, regularizer, sturm_liouville, euler, hunter_saxton):
+    for module in (eos_module, regularizer, sturm_liouville, euler, hunter_saxton, analysis):
         monkeypatch.setattr(module, "_check_density", counted)
     return calls
 
@@ -141,6 +141,17 @@ def test_one_density_check_per_ghs_stage(density_checks):
     dt = cfl_dt(state, GAMMA2, 0.5)
     diagnostics(ghs_step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
     assert calls[0] <= 7
+
+
+@pytest.mark.parametrize("call", [
+    lambda fluxes: analysis.steady_numer_denom(1.3, fluxes, GAMMA2),
+    lambda fluxes: analysis.steady_ode_rhs(1.3, fluxes, GAMMA2, CUBIC),
+    lambda fluxes: analysis.cusp_amplitude_prediction(fluxes, GAMMA2, CUBIC, 1.0),
+], ids=["steady_numer_denom", "steady_ode_rhs", "cusp_amplitude_prediction"])
+def test_one_density_check_per_steady_relation_call(density_checks, call):
+    # each ODE step and event evaluation of a steady profile makes one such call
+    call(analysis.SteadyFluxes.uniform(1.0, 1.25, 0.5))
+    assert density_checks[0] == 1
 
 
 class TestEnthalpy:

@@ -208,6 +208,12 @@ class TestCflDt:
         st = State(0.0, np.full(64, 1e-8), np.zeros(64), g)
         assert bl.cfl_dt(st, sw_eos, 1.0) == g.dx
 
+    def test_rest_with_underflowing_sound_speed_takes_dx(self):
+        # c = sqrt(5 rho^4) underflows to 0 at rho = 1e-90: no speed at all
+        g = Grid.periodic(1.0, 64)
+        st = State(0.0, np.full(64, 1e-90), np.zeros(64), g)
+        assert bl.cfl_dt(st, EquationOfState.isentropic(5.0), 0.5) == g.dx
+
 
 class TestDiagnostics:
     def test_rest_state(self, sw_eos, cubic_reg):
@@ -355,6 +361,11 @@ class TestBlowupAndReference:
         assert np.all(np.isfinite(out.rho)) and np.min(out.rho) > 0
         assert g.integrate(out.rho) == pytest.approx(1.0, rel=1e-12)
 
+    def test_rusanov_needs_a_periodic_grid(self, sw_eos):
+        g = Grid.line(-1.0, 1.0, 64)
+        with pytest.raises(DomainError, match="periodic"):
+            bl.rusanov_run(State(0.0, np.ones(64), np.zeros(64), g), 0.1, sw_eos)
+
     def test_rusanov_vacuum_is_an_integration_error(self, sw_eos):
         g = Grid.periodic(1.0, 256)
         st = State(0.0, np.ones(256), 3.0 * np.sin(2 * np.pi * g.x), g)
@@ -402,6 +413,14 @@ class TestBlowupAndReference:
             dists.append(g.integrate(np.abs(res.final.rho - ref.rho)
                                      + np.abs(res.final.u - ref.u)))
         assert dists[0] > dists[1] > dists[2]
+
+
+def test_field_shapes_must_match_the_grid(cubic_reg):
+    g = Grid.periodic(1.0, 16)
+    with pytest.raises(DomainError, match="shapes"):
+        State(0.0, np.ones(8), np.ones(16), g).validate()
+    with pytest.raises(DomainError, match="shape"):
+        bl.SLSystem(g, np.ones(8), cubic_reg)
 
 
 def test_solver_config_validation():

@@ -246,6 +246,11 @@ class TestVariationalWaveEquation:
         exact = prof(g.x - stub.c0 * steps * dt)
         assert np.max(np.abs(out - exact)) < 2 * g.dx**2  # O(dx^2) transport
 
+    @pytest.mark.parametrize("upsilon", [0.0, -0.5])
+    def test_specific_volume_must_be_positive(self, sw_eos, upsilon):
+        with pytest.raises(DomainError, match="specific volume"):
+            bl.hunter_saxton.lagrangian_speed(np.array([0.8, upsilon]), sw_eos)
+
     def test_speed_derivatives_match_finite_differences(self, sw_eos):
         # c(v)^2 = d^2(v V(1/v))/dv^2 and c c' checked against centred
         # differences of the closed forms, observed order >= 2

@@ -263,6 +263,10 @@ class TestInverseFamilyConvolution:
         val, _ = quad(lambda s: exp_kernel(s, width), -40 * width, 40 * width, epsabs=1e-12)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    def test_kernel_width_must_be_positive(self):
+        with pytest.raises(DomainError, match="width"):
+            exp_kernel(np.linspace(-1.0, 1.0, 5), 0.0)
+
     def test_constant_density_gives_zero(self, sw_eos):
         reg = Regularizer.inverse(0.05, 1.0, 1.0)
         out = inverse_family_flux(np.full(512, 1.3), 0.01, sw_eos, reg)
@@ -271,6 +275,10 @@ class TestInverseFamilyConvolution:
     def test_wrong_family_rejected(self, sw_eos, cubic_reg):
         with pytest.raises(DomainError):
             inverse_family_flux(np.ones(64), 0.1, sw_eos, cubic_reg)
+
+    def test_zero_epsilon_rejected(self, sw_eos):
+        with pytest.raises(DomainError, match="epsilon > 0"):
+            inverse_family_flux(np.ones(64), 0.1, sw_eos, Regularizer.inverse(0.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("dxi", [0.0, -0.1, np.nan])
     def test_bad_spacing_rejected(self, sw_eos, dxi):

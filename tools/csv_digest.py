@@ -9,12 +9,14 @@ Each ``tools/configs/<name>.cfg`` runs as ``python -m barolab.cli run <name>.cfg
 --output OUT/<name>``, started inside ``tools/configs`` (so that a config can
 name a committed snapshot by a relative path) and importing the barolab found
 on the current ``PYTHONPATH``.  The script then prints ``<sha256>  <name>/<file>``
-for every CSV and ``fit.json`` written, sorted by path; ``summary.json`` is left
-out because it holds wall-clock time.  It exits 1 if any run exits non-zero and
-2 if ``OUT`` is not empty.
+for every CSV, ``fit.json`` and ``summary.json`` written, sorted by path.  A CSV or
+``fit.json`` digest covers the file's bytes; a ``summary.json`` digest covers the
+summary without its ``wall_clock_s``, the one value that changes between runs,
+serialised with ``json.dumps(..., sort_keys=True)``.  It exits 1 if any run exits
+non-zero and 2 if ``OUT`` is not empty.
 
-Two source trees write byte-identical CSV bodies over the config set when the
-digests of their runs are equal::
+Two source trees write byte-identical CSV and ``fit.json`` files and equal
+summaries over the config set when the digests of their runs are equal::
 
     PYTHONPATH=src python tools/csv_digest.py /tmp/new > new.txt
     PYTHONPATH=/path/to/other/src python tools/csv_digest.py /tmp/old > old.txt
@@ -23,6 +25,7 @@ digests of their runs are equal::
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -51,8 +54,14 @@ def main(argv=None):
             print(f"{config.name}: exit code {run.returncode}\n{run.stderr}", file=sys.stderr)
     for path in sorted(out.glob("*/*")):
         if path.suffix == ".csv" or path.name == "fit.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(out).as_posix()}")
+            data = path.read_bytes()
+        elif path.name == "summary.json":
+            summary = json.loads(path.read_text(encoding="utf-8"))
+            del summary["wall_clock_s"]
+            data = json.dumps(summary, sort_keys=True).encode()
+        else:
+            continue
+        print(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out).as_posix()}")
     return 1 if failed else 0
 
 
