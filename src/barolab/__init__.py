@@ -9,7 +9,6 @@ from .analysis import (
     cusp_amplitude_prediction,
     cusp_profile,
     equilibrium_fluxes,
-    far_field_fluxes,
     fit_singularity_exponent,
     integrate_steady_profile,
     measured_phase_speed,
@@ -51,8 +50,6 @@ from .hunter_saxton import (
     ghs_run,
     ghs_source,
     ghs_step,
-    vwe_leapfrog,
-    vwe_rhs,
 )
 from .regularizer import Regularizer, composite_coefficients
 from .sturm_liouville import SLSystem, exp_kernel, inverse_family_flux, mass_coordinate

@@ -100,35 +100,16 @@ def equilibrium_fluxes(rho, u, eos):
 
 @dataclass(frozen=True)
 class SteadyFluxes:
-    """Far-field flux triple; ``energy_left != energy_right`` across a shock."""
+    """The constant fluxes ``(I, S, F)`` of a steady motion: mass ``I = rho u``,
+    momentum ``S = rho u^2 + P`` and energy ``F = rho u^3/2 + rho u V'``."""
 
     mass: float
     momentum: float
-    energy_left: float
-    energy_right: float
-    mass_mismatch: float = 0.0
-    momentum_mismatch: float = 0.0
+    energy: float
 
     @classmethod
     def uniform(cls, mass, momentum, energy):
-        return cls(float(mass), float(momentum), float(energy), float(energy))
-
-    @property
-    def dissipation(self):
-        """Energy flux lost between the two far fields, ``F+ - F-``."""
-        return self.energy_right - self.energy_left
-
-    def admissible(self):
-        """Whether the two far fields can be joined by a steady connection."""
-        tol = 1e-12 * max(abs(self.mass), abs(self.momentum), 1.0)
-        return abs(self.mass_mismatch) <= tol and abs(self.momentum_mismatch) <= tol
-
-
-def far_field_fluxes(rho_left, u_left, rho_right, u_right, eos):
-    """Fluxes of two equilibrium far fields, with the mismatch bookkeeping."""
-    i_l, s_l, f_l = equilibrium_fluxes(rho_left, u_left, eos)
-    i_r, s_r, f_r = equilibrium_fluxes(rho_right, u_right, eos)
-    return SteadyFluxes(i_l, s_l, f_l, f_r, mass_mismatch=i_r - i_l, momentum_mismatch=s_r - s_l)
+        return cls(float(mass), float(momentum), float(energy))
 
 
 # Each public function of the steady relation applies the density rule once and
@@ -144,12 +125,14 @@ def steady_numer_denom(rho, fluxes, eos):
 
 def _numer_denom(rho, checked, fluxes, eos):
     """``(N, D)`` at ``rho``, whose density rule has passed as ``checked``."""
-    i, s = fluxes.mass, fluxes.momentum
-    f = fluxes.energy_right  # F+, the right far field's; F- differs only across a shock
-    v = eos._potential(checked)
-    numer = i**2 - 2.0 * s * rho + 2.0 * (f / i) * rho**2 - 2.0 * rho * v
-    denom = i**2 - rho**3 * eos._curvature(checked)[0]
-    return numer, denom
+    denom = fluxes.mass**2 - rho**3 * eos._curvature(checked)[0]
+    return sum(_numer_terms(rho, checked, fluxes, eos)), denom
+
+
+def _numer_terms(rho, checked, fluxes, eos):
+    """The terms ``I^2``, ``-2 S rho``, ``2 (F/I) rho^2`` and ``-2 rho V`` of ``N``."""
+    i, s, f = fluxes.mass, fluxes.momentum, fluxes.energy
+    return i**2, -2.0 * s * rho, 2.0 * (f / i) * rho**2, -2.0 * rho * eos._potential(checked)
 
 
 def steady_ode_rhs(rho, fluxes, eos, reg):
@@ -172,17 +155,19 @@ def check_steady_start(fluxes, eos, reg, rho_start):
 
     ``rho_start`` must pass the density rule, and the squared slope there must
     be finite (it diverges at the sonic density) and not negative
-    (:class:`DomainError` otherwise); a squared slope within
-    ``1e-12 * max(1, rho_start**2)`` of zero is an equilibrium.
+    (:class:`DomainError` otherwise).  It is an equilibrium when the numerator
+    ``N`` of the squared slope vanishes next to its own terms:
+    ``|N| <= 1e-12 * (I^2 + |2 S rho| + |2 (F/I) rho^2| + |2 rho V|)``.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         try:
             v0 = steady_ode_rhs(rho_start, fluxes, eos, reg)
+            terms = _numer_terms(rho_start, _check_density(rho_start), fluxes, eos)
         except OverflowError:  # a float power of a huge density
             v0 = np.inf
     if not np.isfinite(v0):
         raise DomainError("squared slope is not finite at rho_start; no profile there")
-    if abs(v0) <= 1e-12 * max(1.0, rho_start**2):
+    if abs(sum(terms)) <= 1e-12 * sum(map(abs, terms)):
         return True
     if v0 < 0.0:
         raise DomainError("squared slope is negative at rho_start; no profile there")
@@ -199,8 +184,7 @@ def sonic_density(mass_flux, eos):
     from scipy.optimize import brentq  # imported here: only steady profiles need it
 
     def f(rho):
-        _, v2, _ = eos.potential_derivatives(rho)
-        return rho**3 * v2 - mass_flux**2
+        return rho**3 * eos._curvature(_check_density(rho))[0] - mass_flux**2
 
     lo, hi = 1e-3, 1e3
     while f(lo) > 0.0:

@@ -174,6 +174,18 @@ class TestStep:
         back2 = bl.step(bl.step(st, dt / 4, cubic_reg, sw_eos), -dt / 4, cubic_reg, sw_eos)
         assert np.max(np.abs(back2.rho - st.rho)) < 1e-13
 
+    def test_rk4_stage_times(self, sw_eos, cubic_reg):
+        # u' = t^3 integrated by RK4 is Simpson's rule, exact for cubics only
+        # with the stage times t, t + dt/2, t + dt/2, t + dt
+        g = Grid.periodic(1.0, 32)
+        t, dt = 0.3, 0.1
+        st = State(t, np.full(32, 1.2), np.full(32, 0.3), g)
+        out = bl.step(st, dt, cubic_reg, sw_eos,
+                      _rhs=lambda s, r, e: (np.zeros_like(s.rho), np.full_like(s.u, s.t**3)))
+        want = ((t + dt) ** 4 - t**4) / 4
+        assert np.max(np.abs((out.u - st.u) - want)) <= 1e-14
+        assert np.array_equal(out.rho, st.rho)
+
     def test_invalid_state_raises_with_time(self, sw_eos, cubic_reg):
         g = Grid.periodic(1.0, 64)
         st = State(0.7, 1.0 + 0.9 * np.sin(2 * np.pi * g.x), 10 * np.sin(2 * np.pi * g.x), g)
