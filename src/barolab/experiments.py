@@ -95,7 +95,7 @@ def initial_states(config):
                  for n in (*st["resolutions"], 4 * max(st["resolutions"]))]
     state_cls = _system({"ghs_run": "ghs", "convergence_study": st["solver"]}.get(kind, "rbe"))[0]
     try:
-        return [state_cls(0.0, *build_initial(config, grid), grid).validate() for grid in grids]
+        return [state_cls(0.0, *build_initial(config, grid), grid) for grid in grids]
     except (ConfigError, DomainError) as exc:
         problems = getattr(exc, "problems", [str(exc)])
         raise ConfigError([f"[initial] {p}" for p in problems]) from exc

@@ -22,9 +22,9 @@ Replacing ``A`` by ``-A`` leaves the right-hand side bitwise unchanged:
 ``c_u``, ``c_rho`` and ``2 rho A'`` are each linear in ``(A', A'')``, so each
 changes sign exactly and the quotient does not move.
 
-As in :func:`barolab.euler.rhs`, :func:`ghs_rhs` applies the density rule once
-per stage and differentiates ``u`` once for the advection and the source;
-past that check every coefficient comes from the unchecked kernels.
+A :class:`GhsState` is checked when built (periodic grid, then the field rule
+of ``State``), so :func:`ghs_rhs` takes every coefficient from the unchecked
+kernels and differentiates ``u`` once for the advection and the source.
 
 Smooth solutions conserve the gradient energy ``integral( rho A' u_x^2 +
 A' V'' rho_x^2 ) dx``, which :func:`barolab.euler.diagnostics` reports.
@@ -34,23 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eos import _check_density
 from .errors import DomainError
 from .euler import State, _drive, _gradients, _rk4, _source
 
 
 @dataclass(frozen=True)
 class GhsState(State):
-    """Periodic density/velocity pair of the Hunter-Saxton system."""
+    """Periodic density/velocity pair of the Hunter-Saxton system, checked when built."""
 
-    def validate(self):
+    def __post_init__(self):
         if not self.grid.is_periodic:
             raise DomainError("the Hunter-Saxton system is integrated on periodic grids")
-        return super().validate()
+        super().__post_init__()
 
     def _energy(self, ux, rx, reg, eos):
-        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``; the density
-        is checked by the caller."""
+        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
         da = reg._slopes(self.rho)[0]
         v2 = eos._curvature(self.rho)[0]
         return self.grid.integrate(self.rho * da * ux**2 + da * v2 * rx**2)
@@ -58,7 +56,7 @@ class GhsState(State):
 
 def ghs_source(state, reg, eos):
     """The squared-gradient source of the velocity equation."""
-    return _ghs_source(_check_density(state.rho), *_gradients(state), reg, eos)
+    return _ghs_source(state.rho, *_gradients(state), reg, eos)
 
 
 def _ghs_source(rho, ux, rx, reg, eos):
@@ -70,7 +68,7 @@ def _ghs_source(rho, ux, rx, reg, eos):
 def ghs_rhs(state, reg, eos):
     """Right-hand side ``(d rho/dt, d u/dt)`` with the mean-free antiderivative."""
     grid = state.grid
-    rho, u = _check_density(state.rho), state.u
+    rho, u = state.rho, state.u
     ux = grid.ddx(u)
     source = _ghs_source(rho, ux, grid.ddx(rho), reg, eos)
     source = source - source.sum() / grid.n
@@ -80,12 +78,11 @@ def ghs_rhs(state, reg, eos):
 
 def ghs_energy(state, reg, eos):
     """Gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
-    _check_density(state.rho)
     return GhsState._energy(state, *_gradients(state), reg, eos)
 
 
 def ghs_step(state, dt, reg, eos):
-    """One RK4 step with positivity/finiteness re-validation."""
+    """One RK4 step; every stage state and the result are checked states."""
     return _rk4(state, dt, ghs_rhs, reg, eos)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from barolab import analysis, eos as eos_module, euler, hunter_saxton, regularizer, sturm_liouville
+from barolab import analysis, eos as eos_module, euler, regularizer, sturm_liouville
 from barolab import (
     DomainError,
     EquationOfState,
@@ -105,7 +105,7 @@ def density_checks(monkeypatch):
         calls[0] += 1
         return check(rho)
 
-    for module in (eos_module, regularizer, sturm_liouville, euler, hunter_saxton, analysis):
+    for module in (eos_module, regularizer, sturm_liouville, euler, analysis):
         monkeypatch.setattr(module, "_check_density", counted)
     return calls
 
@@ -120,27 +120,37 @@ def test_one_density_check_per_call(density_checks):
     assert calls[0] == 2
     state = State(0.0, rho, 0.1 * np.cos(2 * np.pi * g.x), g)
     calls[0] = 0
-    rhs(state, CUBIC, GAMMA2)  # the stage's pressure, source and operator share one check
-    assert calls[0] == 1
-    # one step of the run loop: CFL step, four stages and the re-validation of
-    # the RK4 step, then the diagnostics row
-    calls[0] = 0
+    rhs(state, CUBIC, GAMMA2)  # a built state is already checked
+    assert calls[0] == 0
+    # one step of the run loop: the CFL step, the four stages and the row check
+    # nothing; the three stage states and the RK4 result are checked when built
     dt = cfl_dt(state, GAMMA2, 0.5)
     diagnostics(step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
-    assert calls[0] <= 7
+    assert calls[0] == 4
+
+
+def test_rusanov_step_checks_each_state_it_builds(density_checks):
+    calls = density_checks
+    g = Grid.periodic(1.0, 64)
+    state = State(0.0, 1.0 + 0.2 * np.sin(2 * np.pi * g.x), 0.1 * np.cos(2 * np.pi * g.x), g)
+    calls[0] = 0
+    dt = cfl_dt(state, GAMMA2, 0.4)
+    # one forward-Euler step: the start state in conservative form, then the result
+    euler.rusanov_run(state, 0.5 * dt, GAMMA2)
+    assert calls[0] == 2
 
 
 def test_one_density_check_per_ghs_stage(density_checks):
     calls = density_checks
     g = Grid.periodic(1.0, 64)
     state = GhsState(0.0, 1.0 + 0.2 * np.sin(2 * np.pi * g.x), 0.1 * np.cos(2 * np.pi * g.x), g)
-    ghs_rhs(state, CUBIC, GAMMA2)  # the stage's source and enthalpy share one check
-    assert calls[0] == 1
-    # one step of the gHS run loop runs the rule as often as an Euler step
     calls[0] = 0
+    ghs_rhs(state, CUBIC, GAMMA2)  # a built state is already checked
+    assert calls[0] == 0
+    # one step of the gHS run loop runs the rule as often as an Euler step
     dt = cfl_dt(state, GAMMA2, 0.5)
     diagnostics(ghs_step(state, dt, CUBIC, GAMMA2), CUBIC, GAMMA2)
-    assert calls[0] <= 7
+    assert calls[0] == 4
 
 
 @pytest.mark.parametrize("call", [

@@ -193,6 +193,23 @@ class TestStep:
             bl.step(st, 1.0, cubic_reg, sw_eos)
         assert err.value.t == 0.7
 
+    def test_non_finite_tendency_fails_the_stage_state(self, sw_eos, cubic_reg):
+        # the first stage state is built from du = NaN, and building it is the
+        # check: no later stage is evaluated
+        g = Grid.periodic(1.0, 32)
+        st = State(0.4, np.full(32, 1.2), np.full(32, 0.3), g)
+        stages = []
+
+        def nan_tendency(s, reg, eos):
+            stages.append(s.t)
+            return np.zeros_like(s.rho), np.full_like(s.u, np.nan)
+
+        with pytest.raises(IntegrationError) as err:
+            bl.step(st, 0.1, cubic_reg, sw_eos, _rhs=nan_tendency)
+        assert err.value.t == 0.4 and stages == [0.4]
+        assert isinstance(err.value.__cause__, DomainError)
+        assert "velocity" in str(err.value.__cause__)
+
 
 class TestCflDt:
     def test_rest_state_example(self, sw_eos):
@@ -427,10 +444,19 @@ class TestBlowupAndReference:
         assert dists[0] > dists[1] > dists[2]
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_state_is_checked_when_built(bad):
+    g = Grid.periodic(1.0, 16)
+    u = np.zeros(16)
+    u[3] = bad
+    with pytest.raises(DomainError, match="velocity"):
+        State(0.0, np.ones(16), u, g)
+
+
 def test_field_shapes_must_match_the_grid(cubic_reg):
     g = Grid.periodic(1.0, 16)
     with pytest.raises(DomainError, match="shapes"):
-        State(0.0, np.ones(8), np.ones(16), g).validate()
+        State(0.0, np.ones(8), np.ones(16), g)
     with pytest.raises(DomainError, match="shape"):
         bl.SLSystem(g, np.ones(8), cubic_reg)
 

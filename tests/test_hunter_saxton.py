@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,9 +71,13 @@ class TestRhs:
         assert np.array_equal(du, du2)
 
     def test_requires_periodic_grid(self, sw_eos, cubic_reg):
-        g = Grid.line(-1.0, 1.0, 64)
-        with pytest.raises(DomainError):
-            GhsState(0.0, np.ones(64), np.zeros(64), g).validate()
+        # checked at construction, also when dataclasses.replace builds the state
+        line = Grid.line(-1.0, 1.0, 64)
+        with pytest.raises(DomainError, match="periodic"):
+            GhsState(0.0, np.ones(64), np.zeros(64), line)
+        st = GhsState(0.0, np.ones(64), np.zeros(64), Grid.periodic(1.0, 64))
+        with pytest.raises(DomainError, match="periodic"):
+            dataclasses.replace(st, grid=line)
 
     @pytest.mark.parametrize("reg", [
         Regularizer.cubic(0.1), Regularizer.inverse(0.1, a=2.0, rho_bar=1.3),
