@@ -52,7 +52,7 @@ from .regularizer import _composite
 from .sturm_liouville import SLSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Density and velocity fields at one instant; checked, as float arrays, when built."""
 

@@ -1,10 +1,13 @@
 """Experiment orchestration and all file output.
 
-Every run writes plain CSV (17 significant digits, the lossless round-trip
-precision for doubles) plus a ``summary.json``, each through its one writer,
-:func:`write_csv` or :func:`write_json`.  Given the same configuration the CSV
-bodies are byte-identical across runs: there is no randomness anywhere in the
-pipeline and wall-clock timing lives only in the JSON summary.
+Every run writes plain CSV plus a ``summary.json``, each through its one
+writer, :func:`write_csv` or :func:`write_json`.  ``write_csv`` takes columns,
+writes a number as ``%.17g`` (17 significant digits, the lossless round-trip
+precision for doubles) and a string as it is, and writes the rows in blocks of
+a fixed size.  Given the same configuration the CSV bodies are byte-identical
+across runs: there is no randomness anywhere in the pipeline and wall-clock
+timing lives only in the JSON summary.  :func:`read_snapshot` reads a snapshot
+back in as the initial condition of a restart.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import dataclasses
 import json
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +43,25 @@ def _system(name):
     return {"rbe": (State, run, step), "ghs": (GhsState, ghs_run, ghs_step)}[name]
 
 
-def _fmt(x):
-    return x if isinstance(x, str) else format(float(x), ".17g")
+CSV_BLOCK_ROWS = 1024  # rows formatted per write; bounds the text held in memory
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write ``header`` and then one row per index of ``columns``.
+
+    ``columns`` are arrays or sequences (``zip(*rows)`` turns rows into
+    columns).  A number is written as ``%.17g`` and a string as it is.  The
+    rows go out in blocks of :data:`CSV_BLOCK_ROWS`, each converted with
+    ``tolist`` and formatted with one ``%`` per row.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    n = min((len(c) for c in columns), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            rows = zip(*[c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns])
+            f.write("".join([fmt % row for row in rows]))
 
 
 def write_json(path, obj):
@@ -61,19 +75,30 @@ def write_json(path, obj):
 def read_snapshot(path, grid):
     """Re-ingest a snapshot CSV as an initial condition on ``grid``.
 
-    A file that cannot be read, lacks a ``rho`` or ``u`` column or does not
-    have one row per grid node raises :class:`ConfigError`.
+    The header names the columns (spaces around a name are dropped) and the
+    body is parsed with ``np.loadtxt``.  A file that cannot be read, lacks a
+    ``rho`` or ``u`` column or does not have one row per grid node raises
+    :class:`ConfigError`.
     """
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except (OSError, ValueError, IndexError) as exc:
+        with open(path, encoding="utf-8") as f:
+            names = [name.strip() for name in f.readline().split(",")]
+            with warnings.catch_warnings():
+                # a header-only file is a row-count error, reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(f, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"snapshot {path} cannot be read: {exc}"]) from exc
-    missing = [c for c in ("rho", "u") if c not in (data.dtype.names or ())]
+    missing = [c for c in ("rho", "u") if c not in names]
     if missing:
         raise ConfigError([f"snapshot {path} has no {' or '.join(missing)} column"])
-    if data.size != grid.n:
-        raise ConfigError([f"snapshot {path} has {data.size} rows, grid has {grid.n}"])
-    return np.ascontiguousarray(data["rho"]), np.ascontiguousarray(data["u"])
+    if len(data) != grid.n:
+        raise ConfigError([f"snapshot {path} has {len(data)} rows, grid has {grid.n}"])
+    if data.shape[1] != len(names):
+        raise ConfigError([f"snapshot {path} cannot be read: {data.shape[1]} columns "
+                           f"under a header of {len(names)}"])
+    return (np.ascontiguousarray(data[:, names.index("rho")]),
+            np.ascontiguousarray(data[:, names.index("u")]))
 
 
 def initial_states(config):
@@ -166,7 +191,7 @@ def _run_time_series(config, outdir):
     initial, = initial_states(config)
     result = driver(initial, config.solver, reg, eos)
 
-    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, result.series)
+    write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, zip(*result.series))
     index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
     for (_, _, name), (_, state) in zip(index, result.snapshots):
         if is_ghs:
@@ -175,8 +200,8 @@ def _run_time_series(config, outdir):
             op = SLSystem(grid, state.rho, reg)
             header, cols = "x,rho,u,m,R", (op.apply(state.u, far=grid.u_far),
                                            op.smooth(reg_source(state, reg, eos)))
-        write_csv(outdir / name, header, zip(grid.x, state.rho, state.u, *cols))
-    write_csv(outdir / "snapshots_index.csv", "index,t,filename", index)
+        write_csv(outdir / name, header, (grid.x, state.rho, state.u, *cols))
+    write_csv(outdir / "snapshots_index.csv", "index,t,filename", zip(*index))
     summary = {
         "steps": result.steps,
         "final_time": result.final.t,
@@ -201,7 +226,7 @@ def _run_dispersion(config, outdir):
         rel = abs(c - c_theory) / c_theory
         worst = max(worst, rel)
         rows.append((k, c_theory, c, rel))
-    write_csv(outdir / "dispersion.csv", "k,c_theory,c_measured,rel_err", rows)
+    write_csv(outdir / "dispersion.csv", "k,c_theory,c_measured,rel_err", zip(*rows))
     return EXIT_OK, {"max_rel_err": worst, "modes": config["study"]["modes"]}
 
 
@@ -221,7 +246,7 @@ def _run_steady_profile(config, outdir):
                    "predicted_amplitude": analysis.cusp_amplitude_prediction(
                        fluxes, eos, reg, rho_s)}
         write_json(outdir / "fit.json", fit.to_report())
-    write_csv(outdir / "profile.csv", "x,rho", zip(x, rho))
+    write_csv(outdir / "profile.csv", "x,rho", (x, rho))
     return EXIT_OK, summary
 
 
@@ -242,7 +267,7 @@ def _run_epsilon_sweep(config, outdir):
         final = _final(run(initial, config.solver, reg, eos), f"epsilon = {eps}")
         dist = grid.integrate(np.abs(final.rho - reference.rho) + np.abs(final.u - reference.u))
         rows.append((eps, dist))
-    write_csv(outdir / "epsilon_sweep.csv", "epsilon,l1_distance", rows)
+    write_csv(outdir / "epsilon_sweep.csv", "epsilon,l1_distance", zip(*rows))
     dists = [d for _, d in rows]
     return EXIT_OK, {"epsilons": [e for e, _ in rows], "l1_distances": dists,
                      "monotone_decreasing": all(a > b for a, b in zip(dists, dists[1:]))}
@@ -280,7 +305,6 @@ def _run_convergence(config, outdir):
                     / np.log(resolutions[i + 1] / resolutions[i]))
               if errs[i] > 0.0 and errs[i + 1] > 0.0 else None
               for i in range(len(errs) - 1)]
-    write_csv(outdir / "convergence.csv", "resolution,error",
-              zip(resolutions, errs))
+    write_csv(outdir / "convergence.csv", "resolution,error", (resolutions, errs))
     return EXIT_OK, {"variant": st["variant"], "solver": st["solver"], "resolutions": resolutions,
                      "errors": errs, "observed_orders": orders}

@@ -38,7 +38,7 @@ from .errors import DomainError
 from .euler import State, _drive, _gradients, _rk4, _source
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhsState(State):
     """Periodic density/velocity pair of the Hunter-Saxton system, checked when built."""
 

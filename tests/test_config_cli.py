@@ -384,6 +384,20 @@ class TestExperiments:
         written = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert written["error"] == summary["error"]
 
+    def test_snapshot_with_an_empty_field_exits_1_with_the_error_in_the_summary(
+            self, tmp_path, capsys):
+        grid = build_grid(parse_config(MINIMAL_RBE))
+        path = tmp_path / "snap.csv"
+        path.write_text("x,rho,u\n" + "".join(f"{x},1,{'' if i == 5 else 0}\n"
+                                              for i, x in enumerate(grid.x.tolist())))
+        cfg = tmp_path / "restart.cfg"
+        cfg.write_text(MINIMAL_RBE.replace(
+            "kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0", f"kind = file\npath = {path}"))
+        assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "snap.csv cannot be read" in written["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("topology", ["periodic", "line"])
     def test_snapshot_columns_hold_momentum_and_flux(self, tmp_path, topology):
         text = MINIMAL_RBE + "snapshot_every = 20\n"

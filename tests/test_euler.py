@@ -453,6 +453,15 @@ def test_a_state_is_checked_when_built(bad):
         State(0.0, np.ones(16), u, g)
 
 
+@pytest.mark.parametrize("cls", [State, bl.GhsState], ids=["State", "GhsState"])
+def test_states_compare_by_identity_and_hash(cls):
+    # field arrays have no single truth value, so equality is identity, as for Grid
+    g = Grid.periodic(1.0, 8)
+    a, b = (cls(0.0, np.ones(8), np.zeros(8), g) for _ in range(2))
+    assert a == a and not (a == b) and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_field_shapes_must_match_the_grid(cubic_reg):
     g = Grid.periodic(1.0, 16)
     with pytest.raises(DomainError, match="shapes"):
