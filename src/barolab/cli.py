@@ -8,10 +8,12 @@ Commands
                                 run the experiment once per value, one after another,
                                 in the order given
 
-Exit codes: 0 success, 1 invalid configuration (also a config file that cannot
-be read), 2 a run that fails: an integration failure, or a measurement or fit
-that fails its own check; 3 blow-up detected while the configuration demands
-completion (``[solver] on_blowup = fail``).  The environment variable
+Exit codes: 0 success; 1 a configuration error, raised before the first step:
+the config, a file it names or the output directory is unusable; 2 any failure
+after that: an integration failure, a steady profile whose integration leaves
+the admissible densities, or a measurement or fit that fails its own check;
+3 blow-up detected while the configuration demands completion
+(``[solver] on_blowup = fail``).  The environment variable
 ``BAROLAB_OUTPUT_ROOT`` prefixes every relative output directory.
 """
 

@@ -217,8 +217,12 @@ def _validate(v):
         problems.append("[study] variant must be spatial or temporal")
     if st["solver"] not in ("rbe", "ghs"):
         problems.append("[study] solver must be rbe or ghs")
+    rho_bar = v["eos"]["rho_bar"]
     if not st["amplitude"] > 0.0:
         problems.append("[study] amplitude must be > 0")
+    elif kind == "dispersion_study" and 0.0 < rho_bar < math.inf and not st["amplitude"] < rho_bar:
+        # the study's wave rho_bar + a cos(k x) reaches rho_bar - a on its grid
+        problems.append("[study] amplitude must be < [eos] rho_bar for dispersion_study")
     if not st["x_max"] > 0.0:
         problems.append("[study] x_max must be > 0")
     if st["points"] < 1:

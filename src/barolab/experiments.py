@@ -128,10 +128,14 @@ def initial_states(config):
 
 def resolve_output_dir(config, override=None):
     """``override`` or the configured directory, under ``BAROLAB_OUTPUT_ROOT`` when relative;
-    created, and absolute, so that a directory resolved once passes through unchanged."""
+    created, and absolute, so that a directory resolved once passes through unchanged.
+    A directory that cannot be created raises :class:`ConfigError`."""
     directory = Path(os.environ.get("BAROLAB_OUTPUT_ROOT", ""),
                      override or config.output_directory).absolute()
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"output directory {directory} cannot be created: {exc}"]) from exc
     return directory
 
 
@@ -139,7 +143,8 @@ def run_experiment(config, output_dir=None):
     """Execute one experiment; returns ``(exit_code, summary dict)``.
 
     Artifacts land in the resolved output directory; the summary is also
-    written there as ``summary.json``.
+    written there as ``summary.json``.  Only a :class:`ConfigError`, raised
+    before the first step, exits 1; every later failure exits 2.
     """
     outdir = resolve_output_dir(config, output_dir)
     started = time.perf_counter()
@@ -153,14 +158,13 @@ def run_experiment(config, output_dir=None):
     }[config.kind]
     try:
         code, summary = runner(config, outdir)
-    except (ConfigError, DomainError) as exc:
-        # a statically-invalid setup that slipped past parsing (e.g. an
-        # unreadable snapshot file, or initial data incompatible with the law)
+    except ConfigError as exc:  # the initial data, which the runner builds first
         code = EXIT_CONFIG
         summary = {"error": str(exc)}
     except BarolabError as exc:
-        # a run that failed: an integration failure (which carries its time t),
-        # or a measurement or fit that failed its own check
+        # a run that failed: an integration failure (which carries its time t), a
+        # steady profile that leaves the admissible densities, or a measurement or
+        # fit that failed its own check
         code = EXIT_INTEGRATION
         summary = {"error": str(exc), "failure_time": getattr(exc, "t", None)}
     summary["kind"] = config.kind

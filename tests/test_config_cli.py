@@ -560,6 +560,83 @@ class TestCli:
         assert prefix in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, prefix", [
+        ("[experiment]\nkind = dispersion_study\n[study]\nmodes = 1\namplitude = 1.0\n",
+         "[study] amplitude must be < [eos] rho_bar"),
+        ("[experiment]\nkind = rbe_run\n[grid]\nn = 16\nlength = 1e-300\n"
+         "[solver]\nt_end = 0.01\n", "[grid] length must"),
+        ("[experiment]\nkind = rbe_run\n[grid]\nn = 8\nlength = 1e300\n"
+         "[solver]\nt_end = 0.01\n", "[grid] length must"),
+        ("[experiment]\nkind = rbe_run\n[grid]\ntopology = line\nn = 8\nx_min = -1e300\n"
+         "x_max = 1e300\n[initial]\nkind = constant\n[solver]\nt_end = 0.01\n",
+         "[grid] x_min and x_max must"),
+    ], ids=["dispersion_amplitude_reaches_vacuum", "spacing_squared_underflows",
+            "spacing_squared_overflows", "line_spacing_squared_overflows"])
+    def test_inputs_the_run_cannot_use_are_rejected_before_it(self, tmp_path, capsys, text,
+                                                                prefix):
+        # validate and run both exit 1 with the prefixed problem, and no directory is made
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 1
+        assert prefix in capsys.readouterr().err
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert prefix in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_dispersion_amplitude_is_bounded_only_for_the_study(self):
+        study = "\n[study]\namplitude = 2.0\n"
+        parse_config(MINIMAL_RBE + study)  # an rbe_run does not use [study] amplitude
+        text = MINIMAL_RBE.replace("kind = rbe_run", "kind = dispersion_study")
+        parse_config(text + "\n[study]\namplitude = 0.999\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("kind = shallow_water", "kind = shallow_water\nrho_bar = 2")
+                         + "\n[study]\namplitude = 2.0\n")
+        assert err.value.problems == [
+            "[study] amplitude must be < [eos] rho_bar for dispersion_study"]
+
+    def test_steady_profile_that_reaches_vacuum_is_a_run_failure(self, tmp_path, capsys):
+        # the start is admissible, so validate accepts it; the profile then leaves the
+        # admissible densities, which is a failed run (exit 2), not a bad config
+        path = tmp_path / "vacuum.cfg"
+        path.write_text("[experiment]\nkind = steady_profile\n[study]\nmass_flux = 1.6\n"
+                        "momentum_flux = 0.6\nenergy_flux = 0.4\nrho_start = 0.7\n")
+        assert cli.main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "density reached vacuum"
+        assert summary["failure_time"] is None and summary["kind"] == "steady_profile"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--param", "regularizer.epsilon", "--values", "0.1,0.05"],
+    ], ids=["run", "sweep"])
+    def test_output_directory_under_a_regular_file_is_a_config_error(self, tmp_path, capsys,
+                                                                     command):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub"
+        assert cli.main([command[0], str(cfg), *command[1:], "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"output directory {out} cannot be created" in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "ok.cfg"]
+
+    def test_output_directory_with_a_null_byte_is_a_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the path cannot even be given to the OS, which is a ValueError, not an OSError
+        monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(MINIMAL_RBE + "\n[output]\ndirectory = a\0b\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot be created: embedded null byte" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_validate_builds_every_grid_a_study_integrates(self, tmp_path, capsys,
                                                            monkeypatch):
         # a spatial study integrates its resolutions and their reference, not [grid] n

@@ -1,0 +1,161 @@
+"""The validate/run contract, drawn at random: every config ends in a documented exit.
+
+Exit 1 is a config error and comes before the first step, so a config that
+``validate`` rejects is rejected by ``run`` too; a config that ``validate``
+accepts runs to 0, 2 or 3 and leaves a ``summary.json``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from barolab import cli
+from barolab.config import _SCHEMA, EXPERIMENT_KINDS, INITIAL_KINDS
+
+SNAPSHOT = Path(__file__).resolve().parents[1] / "tools" / "configs" / "snapshot_periodic_64.csv"
+
+# Plausible values of every key, as config text.  Sizes stay small (n <= 32,
+# modes in {1, 2}, resolutions <= 32, points <= 101), so no draw allocates a
+# large array; the sizes and t_end are always written, because their defaults
+# are large.
+_PLAUSIBLE = {
+    "experiment": {"kind": EXPERIMENT_KINDS},
+    "eos": {"kind": ("isentropic", "isothermal", "shallow_water"), "gamma": ("1.4", "2", "3"),
+            "rho_bar": ("0.5", "1", "2"), "p_bar": ("0.5", "1"), "g": ("0.5", "1", "9.81")},
+    "regularizer": {"kind": ("cubic", "inverse", "power"), "epsilon": ("0", "0.01", "0.1", "1"),
+                    "a": ("0.5", "1"), "p": ("-1", "2", "3")},
+    "grid": {"topology": ("periodic", "line"), "n": ("8", "16", "32"),
+             "length": ("1", "6.283185307179586"), "x_min": ("-10", "-4"), "x_max": ("4", "10"),
+             "rho_left": ("1", "1.2"), "rho_right": ("1",), "u_left": ("0", "0.1"),
+             "u_right": ("0", "-0.1")},
+    "initial": {"kind": INITIAL_KINDS, "amplitude": ("0.01", "0.05", "0.3"),
+                "u_amplitude": ("0", "0.05"), "mode": ("1", "2"), "width": ("0.05", "0.1", "1"),
+                "bump_amplitude": ("0.03", "0.3"), "mean_velocity": ("0", "0.5"),
+                "rho_value": ("0.5", "1", "2"), "u_value": ("0", "0.1"),
+                "path": (str(SNAPSHOT), "missing.csv")},
+    "solver": {"cfl": ("0.3", "0.5", "1"), "t_end": ("0.01", "0.05"),
+               "blowup_factor": ("2", "1000"), "blowup_threshold": ("10", "1e6"),
+               "snapshot_every": ("0", "5"), "on_blowup": ("report", "fail")},
+    "study": {"modes": ("1", "2", "1, 2"), "amplitude": ("1e-6", "1e-3", "0.5"),
+              "epsilons": ("0.1", "0.1, 0.01"), "mass_flux": ("1", "0.5", "1.6"),
+              "momentum_flux": ("1.25", "0.25", "0.6"), "energy_flux": ("0.5", "0.0625", "0.4"),
+              "rho_start": ("1.3", "1.5", "0.7"), "x_max": ("1", "10"),
+              "points": ("17", "65", "101"), "variant": ("spatial", "temporal"),
+              "solver": ("rbe", "ghs"), "resolutions": ("8, 16", "16, 32", "4, 8")},
+    "output": {"directory": ("out",)},
+}
+_ALWAYS = {("experiment", "kind"), ("grid", "n"), ("solver", "t_end"), ("study", "modes"),
+           ("study", "points"), ("study", "resolutions"), ("output", "directory")}
+_TOKENS = ("0", "-1", "nan", "inf", "1e300", "1e-300")
+# No token goes into the kind or the output directory, nor into a key where it
+# can ask for an unbounded number of steps: a tiny cfl or a huge t_end directly,
+# a sound speed or velocity scale through the CFL step, and a steady x_max
+# through the ODE's length.  What a run will cost is not checked at parse time,
+# so these keys keep plausible values.
+_NO_TOKEN = {("experiment", "kind"), ("output", "directory"),
+            ("solver", "t_end"), ("solver", "cfl"), ("study", "x_max"),
+            *(("eos", key) for key in _PLAUSIBLE["eos"]),
+            *(("initial", key) for key in ("amplitude", "u_amplitude", "bump_amplitude",
+                                           "mean_velocity", "rho_value", "u_value")),
+            *(("grid", key) for key in ("rho_left", "rho_right", "u_left", "u_right"))}
+
+
+_TOKEN_KEYS = sorted((section, key) for section, keys in _PLAUSIBLE.items() for key in keys
+                     if (section, key) not in _NO_TOKEN)
+
+
+@st.composite
+def configs(draw):
+    """``{section: {key: text}}``: each key left out (its default) or plausible, and then
+    at most two keys set to a token."""
+    config = {}
+    for section, keys in _PLAUSIBLE.items():
+        for key, plausible in keys.items():
+            value = draw(st.sampled_from(plausible) if (section, key) in _ALWAYS
+                         else st.one_of(st.none(), st.sampled_from(plausible)))
+            if value is not None:
+                config.setdefault(section, {})[key] = value
+    for section, key in draw(st.lists(st.sampled_from(_TOKEN_KEYS), max_size=2)):
+        config.setdefault(section, {})[key] = draw(st.sampled_from(_TOKENS))
+    return config
+
+
+def _text(config):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in config.items())
+
+
+def _cfg(kind, **sections):
+    """A repro config: the small sizes, then ``sections``."""
+    config = {"experiment": {"kind": kind}, "grid": {"n": "16"}, "solver": {"t_end": "0.01"},
+              "study": {"modes": "1", "points": "65", "resolutions": "8, 16"},
+              "output": {"directory": "out"}}
+    for section, keys in sections.items():
+        config.setdefault(section, {}).update(keys)
+    return config
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+def test_fuzz_table_covers_the_schema():
+    assert {s: set(k) for s, k in _PLAUSIBLE.items()} == {s: set(k) for s, k in _SCHEMA.items()}
+    assert _ALWAYS | _NO_TOKEN <= {(s, k) for s, keys in _PLAUSIBLE.items() for k in keys}
+
+
+# The explicit examples: a steady profile that reaches vacuum, a dispersion wave
+# that does, two periodic spacings and a line spacing whose squares leave the
+# doubles; then eps = 0, eps = 1 and a density contrast of 1e3.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=configs(), absolute=st.booleans())
+@example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
+                                              "energy_flux": "0.4", "rho_start": "0.7"}),
+         absolute=False)
+@example(config=_cfg("dispersion_study", study={"amplitude": "1.0"}), absolute=True)
+@example(config=_cfg("rbe_run", grid={"length": "1e-300"}), absolute=False)
+@example(config=_cfg("rbe_run", grid={"n": "8", "length": "1e300"}), absolute=False)
+@example(config=_cfg("rbe_run", grid={"topology": "line", "n": "8", "x_min": "-1e300",
+                                      "x_max": "1e300"}, initial={"kind": "constant"}),
+         absolute=True)
+@example(config=_cfg("rbe_run", regularizer={"epsilon": "0"}), absolute=False)
+@example(config=_cfg("rbe_run", regularizer={"epsilon": "1"}), absolute=False)
+@example(config=_cfg("rbe_run", initial={"kind": "gaussian_bump", "amplitude": "999"}),
+         absolute=False)  # a density contrast of 1e3
+def test_every_config_ends_in_a_documented_exit(config, absolute):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")  # a warning must not become an escaping error
+        tmp = Path(tmp)
+        path = tmp / "case.cfg"
+        path.write_text(_text(config))
+        root = tmp / "root"
+        output = ["--output", str(root / "abs")] if absolute else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative output root resolves here
+        try:
+            with mock.patch.dict(os.environ, {"BAROLAB_OUTPUT_ROOT": "root"}), \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                validated = cli.main(["validate", str(path)])
+                ran = cli.main(["run", str(path), *output])
+        finally:
+            os.chdir(cwd)
+        assert validated in (0, 1)
+        if validated == 1:
+            assert ran == 1, stdout.getvalue()
+        else:
+            assert ran in (0, 2, 3), stderr.getvalue()
+            outdir = root / "abs" if absolute else root / config["output"]["directory"]
+            assert "kind" in json.loads((outdir / "summary.json").read_text())
+        assert "Traceback" not in stderr.getvalue()
+        for written in root.rglob("*.json"):
+            json.loads(written.read_text(), parse_constant=_reject_constant)
+        assert sorted(p.name for p in tmp.iterdir()) in (["case.cfg"], ["case.cfg", "root"])

@@ -145,3 +145,20 @@ def test_grid_validation():
         Grid.periodic(-1.0, 0)
     with pytest.raises(DomainError, match="x_max.*rho_left.*u_left"):
         Grid.line(0.0, -1.0, 64, rho_far=(nan, 1.0), u_far=(inf, 0.0))
+
+
+@pytest.mark.parametrize("build, rule", [
+    (lambda: Grid.periodic(1e-300, 16), "length must"),      # dx**2 underflows to 0
+    (lambda: Grid.periodic(1e300, 8), "length must"),        # dx**2 overflows
+    (lambda: Grid.line(-1e300, 1e300, 8), "x_min and x_max must"),
+    (lambda: Grid.line(0.0, -0.1, 8), "x_min and x_max must"),
+], ids=["underflow", "overflow", "line_overflow", "negative"])
+def test_spacing_squared_must_be_a_positive_finite_double(build, rule):
+    # the Sturm-Liouville operator divides by dx**2
+    with pytest.raises(DomainError, match=rule):
+        build()
+
+
+def test_spacing_whose_square_is_a_double_is_accepted():
+    assert Grid.periodic(1.6e-149, 16).dx ** 2 > 0.0
+    assert Grid.line(-1e150, 1e150, 8).dx ** 2 < float("inf")
