@@ -3,7 +3,8 @@
 Commands
 --------
 ``barolab run <config>``        execute the configured experiment
-``barolab validate <config>``   check a configuration and its initial data; report every problem
+``barolab validate <config>``   check a configuration, its initial data and its output
+                                directory, without making it; report every problem
 ``barolab sweep <config> --param section.key --values a,b,c``
                                 run the experiment once per value, one after another,
                                 in the order given
@@ -27,8 +28,8 @@ from pathlib import Path
 
 from .config import parse_config, read_ini
 from .errors import ConfigError
-from .experiments import (EXIT_CONFIG, EXIT_OK, initial_states, resolve_output_dir,
-                          run_experiment, write_json)
+from .experiments import (EXIT_CONFIG, EXIT_OK, check_output_dir, initial_states,
+                          resolve_output_dir, run_experiment, write_json)
 
 
 def _read(path):
@@ -41,6 +42,7 @@ def _read(path):
 def _cmd_validate(args):
     config = parse_config(_read(args.config))
     initial_states(config)
+    check_output_dir(config)
     print(f"OK: {config.kind} experiment, output -> {config.output_directory}")
     return EXIT_OK
 
@@ -78,8 +80,12 @@ def _cmd_sweep(args):
                for value in values]
     base_dir = resolve_output_dir(base, args.output)
     key = args.param.split(".", 1)[1]
-    outcomes = [(value, run_experiment(member, base_dir / f"{key}={value}"))
-                for value, member in members]
+    # every member's directory is made before the first member runs, so one that
+    # cannot be made is a config error before any step
+    member_dirs = [resolve_output_dir(member, base_dir / f"{key}={value}")
+                   for value, member in members]
+    outcomes = [(value, run_experiment(member, member_dir))
+                for (value, member), member_dir in zip(members, member_dirs)]
     report = {value: {"exit_code": code, **summary} for value, (code, summary) in outcomes}
     print(write_json(base_dir / "sweep.json", report), end="")
     return max(code for _, (code, _) in outcomes)

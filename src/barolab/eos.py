@@ -28,6 +28,20 @@ ISENTROPIC = "isentropic"
 ISOTHERMAL = "isothermal"
 
 
+def _power(x, e, out=None):
+    """``x**e``, written into ``out`` when given.
+
+    ``out`` is raised in place with ``**=``, which keeps numpy's fast paths (``x**2``
+    is ``square``, ``x**0.5`` is ``sqrt``) and so the bits of ``x**e``;
+    ``np.power(x, e, out=out)`` would skip them.
+    """
+    if out is None:
+        return x ** e
+    out[...] = x
+    out **= e
+    return out
+
+
 def _check_density(rho):
     """The one density rule: finite (else DomainError) and > 0 (else VacuumError)."""
     rho = require_finite(rho, "density")
@@ -98,15 +112,22 @@ class EquationOfState:
 
     # Each public method applies the density rule once and hands the checked
     # array to its unchecked kernel, the one home of the formula; a caller that
-    # has checked the density itself (a solver stage) calls the kernels.
+    # has checked the density itself (a solver stage) calls the kernels.  The
+    # kernels a stage calls write into the buffers it passes, one operation at a
+    # time in the order of the formula, so the buffers do not move a bit.
 
     def pressure(self, rho):
         return self._pressure(_check_density(rho))
 
-    def _pressure(self, rho):
+    def _pressure(self, rho, out=None):
         if self.kind == ISENTROPIC:
-            return self.p_bar * (rho / self.rho_bar) ** self.gamma
-        return self.p_bar * rho / self.rho_bar
+            p = np.divide(rho, self.rho_bar, out=out)
+            p **= self.gamma
+            p *= self.p_bar
+            return p
+        p = np.multiply(self.p_bar, rho, out=out)
+        p /= self.rho_bar
+        return p
 
     def dpressure(self, rho):
         """``dP/drho``; positive for every admissible law (hyperbolicity)."""
@@ -149,14 +170,19 @@ class EquationOfState:
         rho = _check_density(rho)
         return (self._enthalpy(rho), *self._curvature(rho))
 
-    def _curvature(self, rho):
+    def _curvature(self, rho, d2=None, d3=None):
         """``(V'', V''')``: all the solver's coefficients take from the potential."""
+        scale = self.enthalpy_scale
         if self.kind == ISENTROPIC:
             g = self.gamma
-            d2 = self.enthalpy_scale * rho ** (g - 2.0) / self.rho_bar ** (g - 1.0)
-            d3 = (g - 2.0) * self.enthalpy_scale * rho ** (g - 3.0) / self.rho_bar ** (g - 1.0)
+            d2 = _power(rho, g - 2.0, d2)
+            d2 *= scale
+            d2 /= self.rho_bar ** (g - 1.0)
+            d3 = _power(rho, g - 3.0, d3)
+            d3 *= (g - 2.0) * scale
+            d3 /= self.rho_bar ** (g - 1.0)
             return d2, d3
-        return self.enthalpy_scale / rho, -self.enthalpy_scale / rho**2
+        return np.divide(scale, rho, out=d2), np.divide(-scale, np.square(rho, out=d3), out=d3)
 
     def sound_speed(self, rho):
         """``sqrt(dP/drho)``, equal to ``sqrt(rho*V''(rho))``."""

@@ -31,6 +31,16 @@ coefficients of both systems.  :func:`rhs` derives the pressure, the source
 coefficients and ``kappa = rho A'`` once per stage and assembles the operator
 from that ``kappa`` through the private assembly that ``SLSystem(...)`` runs.
 
+A stage allocates only its two outputs, ``drho`` and ``du``.  Every other
+n-sized array of it (the gradients, the pressure, the coefficients, ``psi``,
+``kappa``, the operator and its solve) is written, with ``out=`` or in place and
+in the order of the plain formulas, into the stage workspace: about a dozen
+float buffers that every grid of the same size shares, made on the first stage
+of that size (see :class:`barolab.grid._Workspace`).  No buffer escapes the
+call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage is
+not thread-safe, since two stages of one size would share the buffers; barolab
+runs no threads.
+
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical
 entropy-solution reference; centred stencils are unstable at ``eps = 0`` near
@@ -47,7 +57,7 @@ import numpy as np
 
 from .eos import _check_density
 from .errors import DomainError, IntegrationError, NumericalBreakdownError, _require
-from .grid import require_finite
+from .grid import _workspace, require_finite
 from .regularizer import _composite
 from .sturm_liouville import SLSystem
 
@@ -133,25 +143,47 @@ def reg_source(state, reg, eos):
     return _source(state.rho, *_gradients(state), reg, eos)[0]
 
 
-def _source(rho, ux, rx, reg, eos):
-    """``(psi, A')`` of a checked density with gradients ``ux``, ``rx``."""
-    c_u, c_rho, da = _composite(reg, eos, rho)
-    return c_u * ux**2 + c_rho * rx**2, da
+def _source(rho, ux, rx, reg, eos, *work):
+    """``(psi, A')`` of a checked density with gradients ``ux``, ``rx``; formed in the
+    five buffers ``work`` of :func:`~barolab.regularizer._composite` when given, ``psi``
+    in the first and ``A'`` in the second."""
+    c_u, c_rho, da = _composite(reg, eos, rho, *work)
+    square = work[4] if work else None
+    c_u *= np.square(ux, out=square)
+    c_rho *= np.square(rx, out=square)
+    c_u += c_rho
+    return c_u, da
 
 
 def rhs(state, reg, eos):
-    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``."""
+    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
+
+    Every other n-sized array of the stage lives in the workspace of the grid's size:
+    ``u_x`` and then the solve's result in cell 0, ``psi`` in cell 1, ``kappa`` in
+    cell 2, and the operator in the cells after them.
+    """
     grid = state.grid
     rho, u = state.rho, state.u
-    ux = grid.ddx(u, far=grid.u_far)
-    drho = -grid.ddx(rho * u, far=grid._far(mul))
+    cells = _workspace(grid.n).cells
+    ux = grid.ddx(u, far=grid.u_far, out=cells[0])
+    drho = grid.ddx(np.multiply(rho, u, out=cells[1]), far=grid._far(mul),
+                    out=np.empty(grid.n))
+    np.negative(drho, out=drho)
     # the far states reach the kernel as the 0-d arrays the checked form makes of them
     p_far = grid._far(lambda r, _: eos._pressure(np.asarray(r)))
-    du = -u * ux - grid.ddx(eos._pressure(rho), far=p_far) / rho
+    dp = grid.ddx(eos._pressure(rho, cells[1]), far=p_far, out=cells[1])
+    dp /= rho
+    du = np.negative(u)
+    du *= ux
+    du -= dp
     if reg.epsilon > 0.0:
-        psi, da = _source(rho, ux, grid.ddx(rho, far=grid.rho_far), reg, eos)
-        system = SLSystem._assembled(grid, rho, rho * da, reg.epsilon)
-        du = du - reg.epsilon * system.solve_dx(psi)
+        rx = grid.ddx(rho, far=grid.rho_far, out=cells[6])
+        psi, da = _source(rho, ux, rx, reg, eos, *cells[1:6])
+        kappa = np.multiply(rho, da, out=da)
+        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon)
+        smoothed = system.solve_dx(psi, out=cells[0])
+        smoothed *= reg.epsilon
+        du -= smoothed
     return drho, du
 
 

@@ -13,8 +13,10 @@ back in as the initial condition of a restart.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
+import stat
 import time
 import warnings
 from pathlib import Path
@@ -126,16 +128,39 @@ def initial_states(config):
         raise ConfigError([f"[initial] {p}" for p in problems]) from exc
 
 
+def _unusable_output(directory, reason):
+    return ConfigError([f"output directory {directory} cannot be created: {reason}"])
+
+
+def check_output_dir(config, override=None):
+    """The absolute directory :func:`resolve_output_dir` makes, checked without making
+    anything: its nearest existing ancestor must be a directory, or :class:`ConfigError`
+    with the text that making it would give."""
+    directory = Path(os.environ.get("BAROLAB_OUTPUT_ROOT", ""),
+                     override or config.output_directory).absolute()
+    for path in (directory, *directory.parents):
+        try:
+            mode = path.stat().st_mode
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError) as exc:  # under a regular file, unsearchable, a bad name
+            raise _unusable_output(directory, exc) from exc
+        if not stat.S_ISDIR(mode):  # only the directory itself can exist as another file
+            raise _unusable_output(directory, FileExistsError(
+                errno.EEXIST, os.strerror(errno.EEXIST), str(directory)))
+        break
+    return directory
+
+
 def resolve_output_dir(config, override=None):
     """``override`` or the configured directory, under ``BAROLAB_OUTPUT_ROOT`` when relative;
     created, and absolute, so that a directory resolved once passes through unchanged.
     A directory that cannot be created raises :class:`ConfigError`."""
-    directory = Path(os.environ.get("BAROLAB_OUTPUT_ROOT", ""),
-                     override or config.output_directory).absolute()
+    directory = check_output_dir(config, override)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
-        raise ConfigError([f"output directory {directory} cannot be created: {exc}"]) from exc
+        raise _unusable_output(directory, exc) from exc
     return directory
 
 

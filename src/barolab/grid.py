@@ -9,10 +9,16 @@ decides how a field continues past its edges (``_ghosts``, ``_pad``, ``_far``).
 All stencils are second-order centred: the regularized systems integrated on
 these grids are non-dispersive and smooth up to blow-up, so a uniform O(dx^2)
 treatment balances every term.
+
+Every grid of one size shares one :class:`_Workspace`, the float buffers that a
+stage of the regularized Euler system works in (``_workspace(n)``).  Only the two
+most recent sizes keep theirs.  A stencil given ``out=`` pads its field in the
+workspace's ghost buffer, so such calls, like the stage, are not thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,6 +38,28 @@ def require_finite(values, what):
     if not np.isfinite(values).all():
         raise DomainError(f"{what} contains NaN or Inf")
     return values
+
+
+class _Workspace:
+    """Float buffers for the n-sized intermediates of one stage on an ``n``-cell grid.
+
+    ``ghost`` (n + 2) holds a field and its ghosts while a stencil reads it.  The
+    operator of :mod:`barolab.sturm_liouville` works in ``faces`` (2 rows of n + 1) and
+    the last five rows of ``cells`` (n each); a stage keeps its own arrays in the first
+    three rows and may use all of them as scratch until it assembles the operator.
+    No buffer is handed out of the call that fills it.
+    """
+
+    def __init__(self, n, cells=8):
+        self.ghost = np.empty(n + 2)
+        self.faces = np.empty((2, n + 1))
+        self.cells = np.empty((cells, n))
+
+
+@functools.lru_cache(maxsize=2)
+def _workspace(n):
+    """The workspace shared by every grid of ``n`` cells, made on its first stage."""
+    return _Workspace(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +127,9 @@ class Grid:
             return f[0], f[-1]
         return float(far[0]), float(far[1])
 
-    def _pad(self, f, far=None):
+    def _pad(self, f, far=None, out=None):
         """``f`` with its ghost value on either side, as every stencil sees it."""
-        padded = np.empty(self.n + 2)
+        padded = np.empty(self.n + 2) if out is None else out
         padded[0], padded[-1] = self._ghosts(f, far)
         padded[1:-1] = f
         return padded
@@ -112,14 +140,19 @@ class Grid:
             return None
         return tuple(value(r, v) for r, v in zip(self.rho_far, self.u_far))
 
-    def ddx(self, f, far=None):
+    def ddx(self, f, far=None, out=None):
         """Second-order centred derivative.
 
         Periodic grids wrap; line grids use constant ghost values (``far`` if
-        given, otherwise the edge samples of ``f``).
+        given, otherwise the edge samples of ``f``).  Given ``out`` (which may be
+        ``f`` itself), the derivative is written there and ``f`` is padded in the
+        workspace, so the call allocates nothing.
         """
-        padded = self._pad(np.asarray(f, dtype=float), far)
-        return (padded[2:] - padded[:-2]) / (2.0 * self.dx)
+        ghost = None if out is None else _workspace(self.n).ghost
+        padded = self._pad(np.asarray(f, dtype=float), far, ghost)
+        out = np.subtract(padded[2:], padded[:-2], out=out)
+        out /= 2.0 * self.dx
+        return out
 
     def integrate(self, f, far=None):
         """Rectangle-rule integral ``sum(f_i) * dx``.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import _check_density
+from .eos import _check_density, _power
 from .errors import _require
 
 CUBIC = "cubic"
@@ -80,15 +80,21 @@ class Regularizer:
         """``A'(rho)`` alone, strictly positive for every family."""
         return self._slopes(_check_density(rho))[0]
 
-    def _slopes(self, rho):
-        """``(A', A'')`` of an already checked density."""
+    def _slopes(self, rho, da=None, d2a=None):
+        """``(A', A'')`` of an already checked density, into ``da`` and ``d2a`` when given
+        (the cubic family's ``A''`` is ``rho`` itself and leaves ``d2a`` untouched)."""
         if self.kind == CUBIC:
-            return rho**2 / 2.0, rho
+            da = np.square(rho, out=da)
+            da /= 2.0
+            return da, rho
         if self.kind == INVERSE:
             c = self.a * self.rho_bar
-            return c / rho**2, -2.0 * c / rho**3
+            return (np.divide(c, np.square(rho, out=da), out=da),
+                    np.divide(-2.0 * c, _power(rho, 3, d2a), out=d2a))
         p = self.p
-        return rho ** (p - 1.0), (p - 1.0) * rho ** (p - 2.0)
+        d2a = _power(rho, p - 2.0, d2a)
+        d2a *= p - 1.0
+        return _power(rho, p - 1.0, da), d2a
 
 
 def composite_coefficients(reg, eos, rho):
@@ -106,10 +112,29 @@ def composite_coefficients(reg, eos, rho):
     return _composite(reg, eos, _check_density(rho))[:2]
 
 
-def _composite(reg, eos, rho):
-    """``(c_u, c_rho, A')`` of an already checked density, each derivative taken once."""
-    da, d2a = reg._slopes(rho)
-    v2, v3 = eos._curvature(rho)
-    c_u = 2.0 * rho * da + rho**2 * d2a
-    c_rho = (v2 + rho * v3) * da - rho * v2 * d2a
+def _composite(reg, eos, rho, *work):
+    """``(c_u, c_rho, A')`` of an already checked density, each derivative taken once.
+
+    Given five buffers ``work``, every array is formed in them: ``c_u``, ``A'`` and
+    ``c_rho`` in the first three (``V''`` and ``V'''`` start where ``c_u`` and
+    ``c_rho`` end), ``A''`` and a scratch array in the last two.
+    """
+    out_u, _, out_rho, _, tmp = work or (None,) * 5
+    # A' and A'' buffers are passed only when given, so a regularizer whose
+    # _slopes takes rho alone still serves the callers without buffers
+    da, d2a = reg._slopes(rho, *work[1:4:2])
+    v2, v3 = eos._curvature(rho, out_u, out_rho)
+    # c_rho = (V'' + rho V''') A' - rho V'' A''
+    c_rho = np.multiply(rho, v3, out=out_rho)
+    c_rho += v2
+    c_rho *= da
+    t = np.multiply(rho, v2, out=tmp)
+    t *= d2a
+    c_rho -= t
+    # c_u = 2 rho A' + rho**2 A''
+    c_u = np.multiply(2.0, rho, out=out_u)
+    c_u *= da
+    t = np.square(rho, out=tmp)
+    t *= d2a
+    c_u += t
     return c_u, c_rho, da

@@ -26,6 +26,15 @@ side of :mod:`barolab.euler`, whose stage density is already checked, reaches
 the same assembly with the ``kappa`` it has derived, so there is one assembly
 path and every solve runs the full backward-error guard.
 
+That path factors in place (``dpttrf`` and ``dpttrs`` with their overwrite
+flags) in the buffers of a :class:`barolab.grid._Workspace`, and the guard forms
+its residual there too.  The buffers have one of two owners: a public
+``SLSystem(...)`` owns its own, while the operator of a stage works in the
+workspace that every grid of its size shares and lives only as long as that
+stage.  No buffer escapes a call: ``solve``, ``solve_dx`` and ``apply`` return a
+fresh array owned by the caller unless the caller passes ``out``.  Because the
+stage's buffers are shared, a stage is not thread-safe; barolab runs no threads.
+
 Three derived operations are provided on top of the inverse:
 
 * ``solve(f)``            the inverse itself,
@@ -47,7 +56,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .eos import _check_density
 from .errors import DomainError, NumericalBreakdownError
-from .grid import LINE, Grid
+from .grid import LINE, Grid, _Workspace, _workspace
 from .regularizer import INVERSE
 
 RESIDUAL_TOL = 1e-10
@@ -55,85 +64,115 @@ KERNEL_TRUNCATION = 40.0  # e-folding widths; exp(-40) is below double noise
 
 
 class SLSystem:
-    """Assembled and factorized operator for one density field."""
+    """Assembled and factorized operator for one density field.
+
+    The operator works in the buffers of a workspace (:class:`barolab.grid._Workspace`):
+    a public ``SLSystem(...)`` owns its own, while the operator a stage assembles works
+    in the shared workspace of the grid's size and lives only as long as that stage.
+    Every array a method returns without ``out`` is a fresh one owned by the caller.
+    """
 
     def __init__(self, grid, rho, reg):
         rho = np.asarray(rho, dtype=float)
         kappa = rho * reg.slope(rho)  # the slope applies the density rule
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
-        self._assemble(grid, rho, kappa, reg.epsilon)
+        self._assemble(grid, rho, kappa, reg.epsilon, _Workspace(grid.n, cells=5))
 
     @classmethod
     def _assembled(cls, grid, rho, kappa, eps):
-        """The operator of a density already checked, with its ``kappa = rho A'``."""
+        """The operator of a density already checked, with its ``kappa = rho A'``, in the
+        shared workspace of the grid's size."""
         system = cls.__new__(cls)
-        system._assemble(grid, rho, kappa, eps)
+        system._assemble(grid, rho, kappa, eps, _workspace(grid.n))
         return system
 
-    def _assemble(self, grid, rho, kappa, eps):
-        """Assembly and factorization, the one path of :meth:`__init__` and :meth:`_assembled`."""
+    def _assemble(self, grid, rho, kappa, eps, work):
+        """Assembly and factorization, the one path of :meth:`__init__` and :meth:`_assembled`.
+
+        The operator keeps ``k_face``, ``d``, ``e`` and ``T^{-1} w`` in ``work`` and uses
+        its other buffers as scratch: the ghost buffer, a flux row and two cells.
+        """
         self.kappa = kappa
         self.grid = grid
         self.rho = rho
         self.eps = float(eps)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
+        self._ghost = work.ghost
         # k_face[j] couples cells j-1 and j
-        padded = grid._pad(self.kappa)
-        k_face = 0.5 * (padded[:-1] + padded[1:])
+        k_face, self._flux = work.faces
+        d, e, w, self._scratch, self._dpsi = work.cells[-5:]
+        padded = grid._pad(self.kappa, out=self._ghost)
+        k_face = np.add(padded[:-1], padded[1:], out=k_face)
+        k_face *= 0.5
         # entry (0, n-1) of the cyclic matrix; a line grid has none
         self._corner = -c * k_face[0] if grid.is_periodic else 0.0
         self._k_face = k_face
-        off = c * (k_face[1:] + k_face[:-1])  # |off-diagonal| sum of each row
-        diag = rho + off
-        self._norm = np.max(diag + off)  # infinity norm, for the solve's guard
+        off = np.add(k_face[1:], k_face[:-1], out=self._scratch)
+        off *= c  # |off-diagonal| sum of each row
+        diag = np.add(rho, off, out=d)
+        self._norm = np.add(diag, off, out=off).max()  # infinity norm, for the solve's guard
         # Sherman-Morrison split A = T + corner * w w^T with w = e_0 + e_{n-1};
         # corner <= 0 so T only gains on the diagonal and stays SPD.
-        d = diag.copy()
         d[0] -= self._corner
         d[-1] -= self._corner
-        self._d, self._e, info = dpttrf(d, -c * k_face[1:-1])
+        e = np.multiply(k_face[1:-1], -c, out=e[:-1])
+        self._d, self._e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise NumericalBreakdownError(
                 f"operator factorization failed: leading minor {info} is not positive")
         if self._corner != 0.0:
-            w = np.zeros(grid.n)
+            w[:] = 0.0
             w[0] = w[-1] = 1.0
-            self._tinv_w = dpttrs(self._d, self._e, w)[0]
+            self._tinv_w = dpttrs(self._d, self._e, w, overwrite_b=1)[0]
             self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
-        self.diagonal = diag
+
+    @property
+    def diagonal(self):
+        """The diagonal ``rho + c (k_{i+1/2} + k_{i-1/2})`` of the matrix, a fresh array."""
+        return self.rho + self._c * (self._k_face[1:] + self._k_face[:-1])
 
     # -- matrix action -------------------------------------------------------
 
-    def apply(self, u, far=None):
-        """Matrix-vector product ``L u`` (ghost values from ``far`` on line grids)."""
+    def apply(self, u, far=None, out=None):
+        """Matrix-vector product ``L u`` (ghost values from ``far`` on line grids),
+        written into ``out`` when given, which may be ``u``."""
         u = np.asarray(u, dtype=float)
-        padded = self.grid._pad(u, far)
-        flux = self._k_face * (padded[1:] - padded[:-1])
-        return self.rho * u - self._c * (flux[1:] - flux[:-1])
+        padded = self.grid._pad(u, far, out=self._ghost)
+        flux = np.subtract(padded[1:], padded[:-1], out=self._flux)
+        flux *= self._k_face
+        lu = np.subtract(flux[1:], flux[:-1], out=out)
+        lu *= self._c
+        # rho u - c (flux_{i+1/2} - flux_{i-1/2}); rho u takes the flux row, now read,
+        # from the padded copy of u, so that out may be u itself
+        return np.subtract(np.multiply(self.rho, padded[1:-1], out=flux[:-1]), lu, out=lu)
 
-    def solve(self, f, far=None):
+    def solve(self, f, far=None, out=None):
         """Direct solve of ``L u = f`` with an enforced backward-error bound.
 
         On line grids the solution tends to the constants ``f/rho`` evaluated
         in the far field (``far`` overrides the default edge-sample estimate).
+        The solution is written into ``out`` when given, which must not be ``f``.
         """
         f = np.asarray(f, dtype=float)
-        rhs = f
+        u = np.empty(self.grid.n) if out is None else out
+        u[...] = f
         if not self.grid.is_periodic:
             if far is None:
                 far = (f[0] / self.rho[0], f[-1] / self.rho[-1])
-            rhs = f.copy()
-            rhs[0] += self._c * self._k_face[0] * far[0]
-            rhs[-1] += self._c * self._k_face[-1] * far[1]
+            u[0] += self._c * self._k_face[0] * far[0]
+            u[-1] += self._c * self._k_face[-1] * far[1]
         # dpttrs's info flags only a malformed argument; the guard checks u
-        u = dpttrs(self._d, self._e, rhs)[0]
+        u = dpttrs(self._d, self._e, u, overwrite_b=1)[0]
         if self._corner != 0.0:
             wu = u[0] + u[-1]
-            u = u - (self._corner * wu / self._sm_denom) * self._tinv_w
-        residual = np.max(np.abs(self.apply(u, far=far) - f))
-        scale = self._norm * np.max(np.abs(u)) + np.max(np.abs(f))
+            u -= np.multiply(self._corner * wu / self._sm_denom, self._tinv_w,
+                             out=self._scratch)
+        check = self.apply(u, far=far, out=self._scratch)
+        check -= f
+        residual = np.abs(check, out=check).max()
+        scale = self._norm * np.abs(u, out=check).max() + np.abs(f, out=check).max()
         if not residual <= RESIDUAL_TOL * scale:  # also NaN: the finiteness check
             raise NumericalBreakdownError(
                 f"solve residual {residual:.3e} exceeds "
@@ -141,9 +180,9 @@ class SLSystem:
             )
         return u
 
-    def solve_dx(self, psi):
-        """``L^{-1} d(psi)/dx``, implemented as the plain composition."""
-        return self.solve(self.grid.ddx(psi), far=(0.0, 0.0))
+    def solve_dx(self, psi, out=None):
+        """``L^{-1} d(psi)/dx``, implemented as the plain composition; into ``out`` when given."""
+        return self.solve(self.grid.ddx(psi, out=self._dpsi), far=(0.0, 0.0), out=out)
 
     def smooth(self, psi):
         """Flux form of the regularizing term: ``psi + 2 eps rho A' d/dx solve_dx(psi)``.

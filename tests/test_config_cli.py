@@ -626,6 +626,36 @@ class TestCli:
         assert blocker.read_text() == "not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "ok.cfg"]
 
+    @pytest.mark.parametrize("sub", ["file/sub", "file", "a\0b", "b" * 300],
+                             ids=["under_a_file", "a_file", "null_byte", "too_long"])
+    def test_validate_rejects_an_output_directory_that_run_cannot_make(self, tmp_path, capsys,
+                                                                        sub):
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / sub
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(MINIMAL_RBE + f"\n[output]\ndirectory = {out}\n")
+        assert cli.main(["validate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "OK" not in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "ok.cfg"]
+        # the text run reports when its mkdir fails
+        with pytest.raises((OSError, ValueError)) as made:
+            out.mkdir(parents=True, exist_ok=True)
+        assert f"output directory {out} cannot be created: {made.value}" in err
+
+    def test_sweep_makes_every_member_directory_before_the_first_member_runs(self, tmp_path,
+                                                                             capsys):
+        # a name too long for the file system fails before the member ahead of it runs
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        out = tmp_path / "sw"
+        code = cli.main(["sweep", str(cfg), "--param", "output.directory",
+                         "--values", "a," + "b" * 300, "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot be created" in err and "Traceback" not in err
+        assert not list(out.rglob("summary.json")) and not (out / "sweep.json").exists()
+
     def test_output_directory_with_a_null_byte_is_a_config_error(self, tmp_path, capsys,
                                                                  monkeypatch):
         # the path cannot even be given to the OS, which is a ValueError, not an OSError

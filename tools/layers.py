@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print the µs per call and the minor page faults per call of the solver's layers.
+
+Usage, from anywhere::
+
+    python tools/layers.py
+
+It measures the barolab of the checkout it sits in (``../src`` from this file).
+The problem is the one of the ROADMAP's per-layer table: shallow water, cubic
+regularizer, eps = 0.1, on a periodic domain of length 2 pi with
+``rho = 1 + 0.2 sin x`` and ``u = 0.1 cos x``, at n = 512, 2048, 8192 and
+65536.  The layers are ``ddx``, ``rhs``, one RK4 ``step``, ``SLSystem(...)``
+(assembly and factorization), ``solve_dx`` and ``diagnostics``.
+
+Each layer is called once to warm up and then timed in 7 loops of about 0.05 s
+each; the first table gives the median µs per call.  The second gives
+``ru_minflt`` of this process over the 7 loops, divided by the calls made: the
+pages that the layer's arrays fault in again on every call.
+"""
+
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import barolab as bl  # noqa: E402
+
+SIZES = (512, 2048, 8192, 65536)
+REPEATS = 7
+LOOP_S = 0.05
+
+
+def layers(n):
+    """``{name: zero-argument call}`` for the table's problem on ``n`` cells."""
+    eos = bl.EquationOfState.shallow_water(1.0)
+    reg = bl.Regularizer.cubic(0.1)
+    grid = bl.Grid.periodic(2.0 * np.pi, n)
+    state = bl.State(0.0, 1.0 + 0.2 * np.sin(grid.x), 0.1 * np.cos(grid.x), grid)
+    system = bl.SLSystem(grid, state.rho, reg)
+    psi = bl.reg_source(state, reg, eos)
+    dt = bl.cfl_dt(state, eos, 0.5)
+    return {
+        "ddx": lambda: grid.ddx(state.u),
+        "rhs": lambda: bl.rhs(state, reg, eos),
+        "step": lambda: bl.step(state, dt, reg, eos),
+        "SLSystem(...)": lambda: bl.SLSystem(grid, state.rho, reg),
+        "solve_dx": lambda: system.solve_dx(psi),
+        "diagnostics": lambda: bl.diagnostics(state, reg, eos),
+    }
+
+
+def measure(call):
+    """``(median µs per call, minor faults per call)`` of ``call``."""
+    call()
+    start = time.perf_counter()
+    call()
+    number = max(1, int(LOOP_S / max(time.perf_counter() - start, 1e-9)))
+    times, calls = [], 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - start) / number)
+        calls += number
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return 1e6 * statistics.median(times), faults / calls
+
+
+def table(title, rows):
+    print(f"| {title} | " + " | ".join(f"n = {n}" for n in SIZES) + " |")
+    print("|---" * (len(SIZES) + 1) + "|")
+    for name, values in rows.items():
+        cells = (f"{v:.3g}" if v < 1000 else f"{v:.0f}" for v in values)
+        print(f"| `{name}` | " + " | ".join(cells) + " |")
+
+
+def main():
+    us, faults = {}, {}
+    for n in SIZES:
+        for name, call in layers(n).items():
+            t, f = measure(call)
+            us.setdefault(name, []).append(t)
+            faults.setdefault(name, []).append(f)
+    print(f"barolab at {Path(bl.__file__).resolve().parent}; numpy {np.__version__}")
+    print()
+    table("µs per call", us)
+    print()
+    table("minor faults per call", faults)
+
+
+if __name__ == "__main__":
+    main()
