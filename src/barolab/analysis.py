@@ -328,10 +328,12 @@ def fit_singularity_exponent(x, rho, center, rho_ref, inner=None, outer=None):
     The window excludes ``|x - center| < 3 dx`` (the scale on which any cusp
     is smeared) and everything beyond 10% of the data extent by default.
     Raises :class:`FitUnreliableError`, with the fit attached, when either
-    side falls below ``R2_MIN``.
+    side falls below ``R2_MIN``, and without one when the profile is too short.
     """
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    if x.size < 2:  # no spacing to take the median of
+        raise FitUnreliableError("profile has fewer than 2 points, too short to fit")
     dx = float(np.median(np.diff(x)))
     if inner is None:
         inner = 3.0 * dx

@@ -4,6 +4,10 @@ The format is INI-style ``key = value`` under section headers, chosen because
 it is language-agnostic, diffable and needs no schema dependency.  Unknown
 sections or keys are rejected (typo safety) and validation reports *all*
 problems at once.  The full grammar is documented in the README.
+
+A rule lives in one place.  A key's own rule (one value, no other key) is the
+third field of its ``_SCHEMA`` entry; a rule that relates keys is in
+``_validate``; a rule on a built object's parameters is in its constructor.
 """
 
 from __future__ import annotations
@@ -38,9 +42,23 @@ def _comma_list(conv):
     return parse
 
 
-# section -> key -> (converter, default); defaults of None mean "not set"
+def _one_of(*choices):
+    """The rule that a value is one of ``choices``."""
+    return (lambda value: value in choices,
+            f"must be {', '.join(choices[:-1])} or {choices[-1]}")
+
+
+_POSITIVE = (lambda value: value > 0.0, "must be > 0")
+_AT_LEAST_1 = (lambda value: value >= 1, "must be >= 1")
+_FINITE = (math.isfinite, "must be finite")
+
+# section -> key -> (converter, default[, (holds, text)]); defaults of None mean
+# "not set".  The optional third field is the key's own rule: parse_config
+# reports a value for which holds(value) is false as "[section] key text".
+# The rules that relate keys are in _validate, and the built objects check
+# their own parameters, so no rule here copies a constructor's.
 _SCHEMA = {
-    "experiment": {"kind": (str, None)},
+    "experiment": {"kind": (str, None, _one_of(*EXPERIMENT_KINDS))},
     "eos": {
         "kind": (str, "isentropic"),
         "gamma": (float, 2.0),
@@ -66,14 +84,16 @@ _SCHEMA = {
         "u_right": (float, 0.0),
     },
     "initial": {
-        "kind": (str, "sine"),
+        "kind": (str, "sine", _one_of(*INITIAL_KINDS)),
         "amplitude": (float, 0.05),
         "u_amplitude": (float, None),   # defaults to amplitude
-        "mode": (int, 1),
+        "mode": (int, 1, _AT_LEAST_1),
         "width": (float, 0.1),
         "bump_amplitude": (float, 0.03),
         "mean_velocity": (float, 0.0),
-        "rho_value": (float, None),     # constant preset; defaults to rho_bar
+        "rho_value": (float, None,      # constant preset; defaults to rho_bar
+                      (lambda value: value is None or 0.0 < value < math.inf,
+                       "must be > 0 and finite")),
         "u_value": (float, 0.0),
         "path": (str, None),            # file preset
     },
@@ -83,24 +103,33 @@ _SCHEMA = {
         "blowup_factor": (float, 1e3),
         "blowup_threshold": (float, None),
         "snapshot_every": (int, 0),
-        "on_blowup": (str, "report"),
+        "on_blowup": (str, "report", _one_of("report", "fail")),
     },
     "output": {"directory": (str, "out")},
     "study": {
-        "modes": (_comma_list(int), [1, 2, 4, 8]),
-        "amplitude": (float, 1e-6),
-        "epsilons": (_comma_list(float), [0.1, 0.01, 0.001]),
-        "mass_flux": (float, 1.0),
-        "momentum_flux": (float, 1.25),
-        "energy_flux": (float, 0.5),
+        "modes": (_comma_list(int), [1, 2, 4, 8],
+                  (lambda modes: bool(modes) and min(modes) >= 1, "must list integers >= 1")),
+        "amplitude": (float, 1e-6, _POSITIVE),
+        "epsilons": (_comma_list(float), [0.1, 0.01, 0.001],
+                     (bool, "must list at least one value")),
+        "mass_flux": (float, 1.0,  # the steady relation squares it
+                      (lambda flux: math.isfinite(flux * flux),
+                       "must be finite, with a square below the largest double")),
+        "momentum_flux": (float, 1.25, _FINITE),
+        "energy_flux": (float, 0.5, _FINITE),
         "rho_start": (float, 1.3),
-        "x_max": (float, 10.0),
-        "points": (int, 4097),
-        "variant": (str, "spatial"),
-        "solver": (str, "rbe"),
+        "x_max": (float, 10.0, _POSITIVE),
+        "points": (int, 4097, _AT_LEAST_1),
+        "variant": (str, "spatial", _one_of("spatial", "temporal")),
+        "solver": (str, "rbe", _one_of("rbe", "ghs")),
         "resolutions": (_comma_list(int), [64, 128, 256]),
     },
 }
+
+
+# (section, key, holds, text) for each key that has its own rule
+_RULES = tuple((section, key, *spec[2]) for section, keys in _SCHEMA.items()
+               for key, spec in keys.items() if len(spec) == 3)
 
 
 @dataclass
@@ -144,7 +173,7 @@ def parse_config(text):
     parser = read_ini(text)
 
     # copies, so that no two configs share a default study list
-    values = {section: {key: copy.copy(default) for key, (_, default) in keys.items()}
+    values = {section: {key: copy.copy(spec[1]) for key, spec in keys.items()}
               for section, keys in _SCHEMA.items()}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -154,12 +183,14 @@ def parse_config(text):
             if key not in _SCHEMA[section]:
                 problems.append(f"unknown key '{key}' in section [{section}]")
                 continue
-            conv, _ = _SCHEMA[section][key]
+            conv = _SCHEMA[section][key][0]
             try:
                 values[section][key] = conv(raw)
             except ValueError:
                 problems.append(f"[{section}] {key}: cannot parse {raw!r} as {conv.__name__}")
 
+    problems += [f"[{section}] {key} {text}" for section, key, holds, text in _RULES
+                 if not holds(values[section][key])]
     problems += _validate(values)
     built = {}
     for section, build in (("eos", _build_eos), ("regularizer", _build_regularizer),
@@ -186,66 +217,36 @@ def parse_config(text):
 
 
 def _validate(v):
-    """The rules no constructor knows; the built objects check their own."""
+    """The rules that relate keys; _SCHEMA holds each key's own, the built objects theirs."""
     problems = []
     kind = v["experiment"]["kind"]
-    if kind is None:
-        problems.append("[experiment] kind is required")
-    elif kind not in EXPERIMENT_KINDS:
-        problems.append(f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}")
-
     if kind in _PERIODIC_KINDS and v["grid"]["topology"] != "periodic":
         problems.append(f"[grid] topology must be periodic for {kind}")
 
     i = v["initial"]
-    if i["kind"] not in INITIAL_KINDS:
-        problems.append(f"[initial] kind must be one of {', '.join(INITIAL_KINDS)}")
     if i["kind"] == "file" and not i["path"]:
         problems.append("[initial] path is required for kind = file")
     if i["kind"] in ("sine_bump", "gaussian_bump", "tanh_front") and not i["width"] > 0.0:
         problems.append("[initial] width must be > 0")
-    if i["mode"] < 1:
-        problems.append("[initial] mode must be >= 1")
-    if i["rho_value"] is not None and not 0.0 < i["rho_value"] < math.inf:
-        problems.append("[initial] rho_value must be > 0 and finite")
-
-    if v["solver"]["on_blowup"] not in ("report", "fail"):
-        problems.append("[solver] on_blowup must be report or fail")
 
     st = v["study"]
-    if st["variant"] not in ("spatial", "temporal"):
-        problems.append("[study] variant must be spatial or temporal")
-    if st["solver"] not in ("rbe", "ghs"):
-        problems.append("[study] solver must be rbe or ghs")
     rho_bar = v["eos"]["rho_bar"]
-    if not st["amplitude"] > 0.0:
-        problems.append("[study] amplitude must be > 0")
-    elif kind == "dispersion_study" and 0.0 < rho_bar < math.inf and not st["amplitude"] < rho_bar:
-        # the study's wave rho_bar + a cos(k x) reaches rho_bar - a on its grid
+    # the study's wave rho_bar + a cos(k x) reaches rho_bar - a on its grid; a
+    # broken amplitude or rho_bar is reported by its own rule
+    if (kind == "dispersion_study" and 0.0 < rho_bar < math.inf
+            and 0.0 < st["amplitude"] >= rho_bar):
         problems.append("[study] amplitude must be < [eos] rho_bar for dispersion_study")
-    if not st["x_max"] > 0.0:
-        problems.append("[study] x_max must be > 0")
-    if st["points"] < 1:
-        problems.append("[study] points must be >= 1")
-    if not math.isfinite(st["mass_flux"] * st["mass_flux"]):  # the steady relation squares it
-        problems.append("[study] mass_flux must be finite, with a square below the largest double")
-    for key in ("momentum_flux", "energy_flux"):
-        if not math.isfinite(st[key]):
-            problems.append(f"[study] {key} must be finite")
     if kind == "steady_profile":  # the steady relation divides by both
         if v["regularizer"]["epsilon"] == 0.0:
             problems.append("[regularizer] epsilon must be > 0 for steady_profile")
         if st["mass_flux"] == 0.0:
             problems.append("[study] mass_flux must be nonzero for steady_profile")
-    if not st["modes"] or min(st["modes"]) < 1:
-        problems.append("[study] modes must list integers >= 1")
-    if not st["epsilons"]:
-        problems.append("[study] epsilons must list at least one value")
     try:  # each member's regularizer checks its own epsilon
         for eps in st["epsilons"]:
             Regularizer.cubic(eps)
     except DomainError as exc:
         problems.append(f"[study] epsilons: {exc}")
+    # the chain needs the list's own rule to pass first, so that rule is here too
     res = st["resolutions"]
     if not res or min(res) < 1 or len(set(res)) < len(res):
         problems.append("[study] resolutions must list distinct integers >= 1")

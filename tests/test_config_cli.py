@@ -10,7 +10,7 @@ import pytest
 
 import barolab as bl
 from barolab import ConfigError, analysis, cli, sturm_liouville
-from barolab.config import build_grid, build_initial, parse_config
+from barolab.config import _SCHEMA, build_grid, build_initial, parse_config, read_ini
 from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
 
@@ -39,6 +39,7 @@ cfl = 0.3
 """
 
 CONFIGS = Path(__file__).resolve().parents[1] / "tools" / "configs"  # the byte-identity set
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, cwd, env_root):
@@ -235,6 +236,16 @@ class TestParsing:
         assert len(err.value.problems) == 1
         assert err.value.problems[0].startswith("[study] modes: cannot parse '1,x'")
 
+    def test_readme_grammar_lists_every_key_with_its_default(self):
+        text = README.read_text().split("### Configuration grammar\n", 1)[1]
+        grammar = read_ini(text.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert {section: set(grammar[section]) for section in grammar.sections()} == \
+            {section: set(keys) for section, keys in _SCHEMA.items()}
+        for section, keys in _SCHEMA.items():
+            for key, (conv, default, *_) in keys.items():
+                if default is not None:
+                    assert conv(grammar[section][key]) == default, (section, key)
+
     def test_tanh_front_is_continuous_across_wrap(self):
         cfg = parse_config(MINIMAL_RBE.replace("kind = sine_bump",
                                                "kind = tanh_front\nwidth = 0.03"))
@@ -280,10 +291,15 @@ class TestExperiments:
         ("dispersion_study", "modes = 1\namplitude = 0.2", "harmonic content"),
         ("steady_profile", "points = 65", "usable points"),
         ("steady_profile", "points = 17", "fit window is empty"),
-    ], ids=["wave_leaves_the_linear_regime", "fit_with_too_few_points", "empty_fit_window"])
+        ("steady_profile", "points = 1", "too short to fit"),
+        ("steady_profile", "points = 2", "too short to fit"),
+    ], ids=["wave_leaves_the_linear_regime", "fit_with_too_few_points", "empty_fit_window",
+            "one_point_profile", "two_point_profile"])
     def test_failed_measurement_is_a_run_failure(self, tmp_path, kind, study, message):
         text = MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}") + f"\n[study]\n{study}\n"
-        code, summary = run_experiment(parse_config(text), tmp_path / "m")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a failed measurement warns nothing on its way
+            code, summary = run_experiment(parse_config(text), tmp_path / "m")
         assert code == 2
         written = json.loads((tmp_path / "m" / "summary.json").read_text())
         assert message in written["error"] and written["failure_time"] is None
@@ -546,9 +562,11 @@ class TestCli:
          "[study] rho_start: squared slope is not finite"),
         ("steady_profile", "[solver]", "[study]\nenergy_flux = inf\n\n[solver]",
          "[study] energy_flux must be finite"),
+        ("steady_profile", "[solver]", "[study]\nmomentum_flux = nan\n\n[solver]",
+         "[study] momentum_flux must be finite"),
     ], ids=["sine_bump_zero_width", "steady_zero_epsilon", "steady_zero_mass_flux",
             "steady_negative_start_slope", "steady_negative_start", "steady_sonic_start",
-            "steady_infinite_energy_flux"])
+            "steady_infinite_energy_flux", "steady_nan_momentum_flux"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, old, new, prefix):
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL_RBE.replace("kind = rbe_run", f"kind = {kind}").replace(old, new))

@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from barolab import cli
+from barolab import BoundaryContaminationWarning, cli
 from barolab.config import _SCHEMA, EXPERIMENT_KINDS, INITIAL_KINDS
 
 SNAPSHOT = Path(__file__).resolve().parents[1] / "tools" / "configs" / "snapshot_periodic_64.csv"
@@ -112,14 +112,16 @@ def test_fuzz_table_covers_the_schema():
     assert _ALWAYS | _NO_TOKEN <= {(s, k) for s, keys in _PLAUSIBLE.items() for k in keys}
 
 
-# The explicit examples: a steady profile that reaches vacuum, a dispersion wave
-# that does, two periodic spacings and a line spacing whose squares leave the
-# doubles; then eps = 0, eps = 1 and a density contrast of 1e3.
+# The explicit examples: a steady profile that reaches vacuum, one too short to
+# fit, a dispersion wave that reaches vacuum, two periodic spacings and a line
+# spacing whose squares leave the doubles; then eps = 0, eps = 1 and a density
+# contrast of 1e3.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=configs(), absolute=st.booleans())
 @example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
                                               "energy_flux": "0.4", "rho_start": "0.7"}),
          absolute=False)
+@example(config=_cfg("steady_profile", study={"points": "2"}), absolute=False)
 @example(config=_cfg("dispersion_study", study={"amplitude": "1.0"}), absolute=True)
 @example(config=_cfg("rbe_run", grid={"length": "1e-300"}), absolute=False)
 @example(config=_cfg("rbe_run", grid={"n": "8", "length": "1e300"}), absolute=False)
@@ -131,7 +133,7 @@ def test_fuzz_table_covers_the_schema():
 @example(config=_cfg("rbe_run", initial={"kind": "gaussian_bump", "amplitude": "999"}),
          absolute=False)  # a density contrast of 1e3
 def test_every_config_ends_in_a_documented_exit(config, absolute):
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a warning must not become an escaping error
         tmp = Path(tmp)
         path = tmp / "case.cfg"
@@ -159,3 +161,6 @@ def test_every_config_ends_in_a_documented_exit(config, absolute):
         for written in root.rglob("*.json"):
             json.loads(written.read_text(), parse_constant=_reject_constant)
         assert sorted(p.name for p in tmp.iterdir()) in (["case.cfg"], ["case.cfg", "root"])
+    # a front reaching a line grid's edge is the one documented warning
+    assert all(issubclass(w.category, BoundaryContaminationWarning) for w in caught), \
+        [str(w.message) for w in caught]
