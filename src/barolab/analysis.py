@@ -175,23 +175,8 @@ def check_steady_start(fluxes, eos, reg, rho_start):
 
 
 def sonic_density(mass_flux, eos):
-    """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root).
-
-    ``rho^3 V''`` grows with ``rho`` for both laws, so the bracket [1e-3, 1e3]
-    widens by factors of 1e3 until it holds the root; a bracket end that reaches
-    vacuum or infinity fails the density rule (:class:`DomainError`).
-    """
-    from scipy.optimize import brentq  # imported here: only steady profiles need it
-
-    def f(rho):
-        return rho**3 * eos._curvature(_check_density(rho))[0] - mass_flux**2
-
-    lo, hi = 1e-3, 1e3
-    while f(lo) > 0.0:
-        lo *= 1e-3
-    while f(hi) < 0.0:
-        hi *= 1e3
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=1e-15))
+    """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root), in closed form."""
+    return eos._sonic_density(mass_flux)
 
 
 @dataclass

@@ -42,6 +42,14 @@ def _power(x, e, out=None):
     return out
 
 
+def _finite_positive(value):
+    """Whether ``value()``, a float expression of checked constants, is a finite double > 0."""
+    try:
+        return 0.0 < value() < math.inf
+    except OverflowError:  # a float power out of range
+        return False
+
+
 def _check_density(rho):
     """The one density rule: finite (else DomainError) and > 0 (else VacuumError)."""
     rho = require_finite(rho, "density")
@@ -82,6 +90,9 @@ class EquationOfState:
              "gamma must be > 0 and finite"),
             (not isentropic or self.gamma != 1.0, "gamma must be != 1 (use kind = isothermal)"),
         )
+        # once the constants hold: the scale that _curvature divides V'' and V''' by
+        _require((not isentropic or _finite_positive(lambda: self.rho_bar ** (self.gamma - 1.0)),
+                  "rho_bar**(gamma - 1) must be a finite double > 0"))
 
     # -- constructors -------------------------------------------------------
 
@@ -99,6 +110,8 @@ class EquationOfState:
         # checked here, before they make up p_bar, so the message names them
         _require((0.0 < g < math.inf, "g must be > 0 and finite"),
                  (0.0 < rho_bar < math.inf, "rho_bar must be > 0 and finite"))
+        _require((_finite_positive(lambda: 0.5 * g * rho_bar**2),
+                  "g * rho_bar**2 / 2 must be a finite double > 0"))
         return cls.isentropic(2.0, rho_bar, 0.5 * g * rho_bar**2)
 
     # -- scalar functions of the density ------------------------------------
@@ -183,6 +196,17 @@ class EquationOfState:
             d3 /= self.rho_bar ** (g - 1.0)
             return d2, d3
         return np.divide(scale, rho, out=d2), np.divide(-scale, np.square(rho, out=d3), out=d3)
+
+    def _sonic_density(self, mass_flux):
+        """The root of ``rho^3 V''(rho) = I^2`` with ``I = mass_flux``, in closed form.
+
+        ``rho^3 V''`` is ``gamma p_bar rho_bar (rho/rho_bar)^(gamma+1)`` (isentropic) or
+        ``(p_bar/rho_bar) rho^2`` (isothermal).
+        """
+        if self.kind == ISENTROPIC:
+            g, r = self.gamma, self.rho_bar
+            return r * (mass_flux**2 / (g * self.p_bar * r)) ** (1.0 / (g + 1.0))
+        return abs(mass_flux) * math.sqrt(self.rho_bar / self.p_bar)
 
     def sound_speed(self, rho):
         """``sqrt(dP/drho)``, equal to ``sqrt(rho*V''(rho))``."""

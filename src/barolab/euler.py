@@ -34,12 +34,12 @@ from that ``kappa`` through the private assembly that ``SLSystem(...)`` runs.
 A stage allocates only its two outputs, ``drho`` and ``du``.  Every other
 n-sized array of it (the gradients, the pressure, the coefficients, ``psi``,
 ``kappa``, the operator and its solve) is written, with ``out=`` or in place and
-in the order of the plain formulas, into the stage workspace: about a dozen
-float buffers that every grid of the same size shares, made on the first stage
-of that size (see :class:`barolab.grid._Workspace`).  No buffer escapes the
-call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage is
-not thread-safe, since two stages of one size would share the buffers; barolab
-runs no threads.
+in the order of the plain formulas, into the stage workspace (:func:`_workspace`):
+11 float buffers that every grid of the same size shares, made on the first
+stage of that size.  No buffer escapes the call, so ``drho`` and ``du`` are fresh
+arrays owned by the caller.  A stage, and so ``step`` and ``run``, is the one
+code that shares buffers: ``Grid.ddx(out=)`` and a public ``SLSystem`` share none.
+A stage is therefore not thread-safe; barolab runs no threads.
 
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical
@@ -49,6 +49,7 @@ shocks, so the monotone scheme is the meaningful baseline there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
@@ -57,7 +58,7 @@ import numpy as np
 
 from .eos import _check_density
 from .errors import DomainError, IntegrationError, NumericalBreakdownError, _require
-from .grid import _workspace, require_finite
+from .grid import require_finite
 from .regularizer import _composite
 from .sturm_liouville import SLSystem
 
@@ -155,23 +156,36 @@ def _source(rho, ux, rx, reg, eos, *work):
     return c_u, da
 
 
+@functools.lru_cache(maxsize=2)
+def _workspace(n):
+    """The stage workspace shared by every grid of ``n`` cells, made on its first stage:
+    the ghost buffer and face rows of the operator and 8 rows of n cells.
+
+    A stage keeps its own arrays in rows 0-2 and hands rows 3-7 to the operator, as the
+    cells of :func:`~barolab.sturm_liouville._buffers`; until it assembles the operator,
+    it uses them as scratch.  Only the two most recent sizes keep theirs.
+    """
+    return np.empty(n + 2), np.empty((2, n + 1)), np.empty((8, n))
+
+
 def rhs(state, reg, eos):
     """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
 
     Every other n-sized array of the stage lives in the workspace of the grid's size:
-    ``u_x`` and then the solve's result in cell 0, ``psi`` in cell 1, ``kappa`` in
-    cell 2, and the operator in the cells after them.
+    ``u_x`` and then the solve's result in row 0, ``psi`` in row 1, ``kappa`` in row 2,
+    and the operator in the rows after them.
     """
     grid = state.grid
     rho, u = state.rho, state.u
-    cells = _workspace(grid.n).cells
+    ghost, faces, cells = _workspace(grid.n)
     ux = grid.ddx(u, far=grid.u_far, out=cells[0])
     drho = grid.ddx(np.multiply(rho, u, out=cells[1]), far=grid._far(mul),
                     out=np.empty(grid.n))
     np.negative(drho, out=drho)
     # the far states reach the kernel as the 0-d arrays the checked form makes of them
     p_far = grid._far(lambda r, _: eos._pressure(np.asarray(r)))
-    dp = grid.ddx(eos._pressure(rho, cells[1]), far=p_far, out=cells[1])
+    # not in place: numpy would copy the overlapping interior
+    dp = grid.ddx(eos._pressure(rho, cells[1]), far=p_far, out=cells[6])
     dp /= rho
     du = np.negative(u)
     du *= ux
@@ -180,7 +194,7 @@ def rhs(state, reg, eos):
         rx = grid.ddx(rho, far=grid.rho_far, out=cells[6])
         psi, da = _source(rho, ux, rx, reg, eos, *cells[1:6])
         kappa = np.multiply(rho, da, out=da)
-        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon)
+        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (ghost, faces, cells[3:]))
         smoothed = system.solve_dx(psi, out=cells[0])
         smoothed *= reg.epsilon
         du -= smoothed
@@ -201,20 +215,16 @@ def _rk4(state, dt, f, reg, eos):
     Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.  A stage state
     or result that fails its check, or a failed solve, becomes an :class:`IntegrationError`.
     """
+    def along(t, h, k):
+        return replace(state, t=t, rho=state.rho + h * k[0], u=state.u + h * k[1])
+
     try:
-        k1r, k1u = f(state, reg, eos)
-        s2 = replace(state, t=state.t + 0.5 * dt,
-                     rho=state.rho + 0.5 * dt * k1r, u=state.u + 0.5 * dt * k1u)
-        k2r, k2u = f(s2, reg, eos)
-        s3 = replace(s2, rho=state.rho + 0.5 * dt * k2r, u=state.u + 0.5 * dt * k2u)
-        k3r, k3u = f(s3, reg, eos)
-        s4 = replace(state, t=state.t + dt, rho=state.rho + dt * k3r, u=state.u + dt * k3u)
-        k4r, k4u = f(s4, reg, eos)
-        return replace(
-            s4,
-            rho=state.rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            u=state.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        )
+        k1 = f(state, reg, eos)
+        k2 = f(along(state.t + 0.5 * dt, 0.5 * dt, k1), reg, eos)
+        k3 = f(along(state.t + 0.5 * dt, 0.5 * dt, k2), reg, eos)
+        k4 = f(along(state.t + dt, dt, k3), reg, eos)
+        return along(state.t + dt, dt / 6.0,
+                     [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
     except (DomainError, NumericalBreakdownError) as exc:
         raise IntegrationError(str(exc), state.t) from exc
 

@@ -10,15 +10,13 @@ All stencils are second-order centred: the regularized systems integrated on
 these grids are non-dispersive and smooth up to blow-up, so a uniform O(dx^2)
 treatment balances every term.
 
-Every grid of one size shares one :class:`_Workspace`, the float buffers that a
-stage of the regularized Euler system works in (``_workspace(n)``).  Only the two
-most recent sizes keep theirs.  A stencil given ``out=`` pads its field in the
-workspace's ghost buffer, so such calls, like the stage, are not thread-safe.
+A grid holds no buffer: a stencil reads its field in place and writes only its
+result, into ``out`` when given.  Only a stage of :mod:`barolab.euler` shares
+buffers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,28 +36,6 @@ def require_finite(values, what):
     if not np.isfinite(values).all():
         raise DomainError(f"{what} contains NaN or Inf")
     return values
-
-
-class _Workspace:
-    """Float buffers for the n-sized intermediates of one stage on an ``n``-cell grid.
-
-    ``ghost`` (n + 2) holds a field and its ghosts while a stencil reads it.  The
-    operator of :mod:`barolab.sturm_liouville` works in ``faces`` (2 rows of n + 1) and
-    the last five rows of ``cells`` (n each); a stage keeps its own arrays in the first
-    three rows and may use all of them as scratch until it assembles the operator.
-    No buffer is handed out of the call that fills it.
-    """
-
-    def __init__(self, n, cells=8):
-        self.ghost = np.empty(n + 2)
-        self.faces = np.empty((2, n + 1))
-        self.cells = np.empty((cells, n))
-
-
-@functools.lru_cache(maxsize=2)
-def _workspace(n):
-    """The workspace shared by every grid of ``n`` cells, made on its first stage."""
-    return _Workspace(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,13 +120,16 @@ class Grid:
         """Second-order centred derivative.
 
         Periodic grids wrap; line grids use constant ghost values (``far`` if
-        given, otherwise the edge samples of ``f``).  Given ``out`` (which may be
-        ``f`` itself), the derivative is written there and ``f`` is padded in the
-        workspace, so the call allocates nothing.
+        given, otherwise the edge samples of ``f``).  Given ``out``, the derivative
+        is written there and nothing is allocated; ``out`` may be ``f`` itself, at
+        the cost of the copy numpy makes of an overlapping subtraction.
         """
-        ghost = None if out is None else _workspace(self.n).ghost
-        padded = self._pad(np.asarray(f, dtype=float), far, ghost)
-        out = np.subtract(padded[2:], padded[:-2], out=out)
+        f = np.asarray(f, dtype=float)
+        left, right = self._ghosts(f, far)
+        first, last = f[1] - left, right - f[-2]  # read before out, which may be f, is written
+        out = np.empty(self.n) if out is None else out
+        np.subtract(f[2:], f[:-2], out=out[1:-1])
+        out[0], out[-1] = first, last
         out /= 2.0 * self.dx
         return out
 

@@ -27,13 +27,12 @@ the same assembly with the ``kappa`` it has derived, so there is one assembly
 path and every solve runs the full backward-error guard.
 
 That path factors in place (``dpttrf`` and ``dpttrs`` with their overwrite
-flags) in the buffers of a :class:`barolab.grid._Workspace`, and the guard forms
-its residual there too.  The buffers have one of two owners: a public
-``SLSystem(...)`` owns its own, while the operator of a stage works in the
-workspace that every grid of its size shares and lives only as long as that
-stage.  No buffer escapes a call: ``solve``, ``solve_dx`` and ``apply`` return a
-fresh array owned by the caller unless the caller passes ``out``.  Because the
-stage's buffers are shared, a stage is not thread-safe; barolab runs no threads.
+flags) in the buffers that :func:`_buffers` lists, and the guard forms its
+residual there too.  A public ``SLSystem(...)`` owns its buffers and shares none;
+only the operator of a stage works in buffers it shares, those of the stage
+workspace of :mod:`barolab.euler`, and it lives only as long as that stage.  No
+buffer escapes a call: ``solve``, ``solve_dx`` and ``apply`` return a fresh array
+owned by the caller unless the caller passes ``out``.
 
 Three derived operations are provided on top of the inverse:
 
@@ -56,20 +55,24 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .eos import _check_density
 from .errors import DomainError, NumericalBreakdownError
-from .grid import LINE, Grid, _Workspace, _workspace
+from .grid import LINE, Grid
 from .regularizer import INVERSE
 
 RESIDUAL_TOL = 1e-10
 KERNEL_TRUNCATION = 40.0  # e-folding widths; exp(-40) is below double noise
 
 
+def _buffers(n):
+    """``(ghost, faces, cells)``, what an operator on ``n`` cells works in: float buffers of
+    n + 2, 2 rows of n + 1 and 5 rows of n."""
+    return np.empty(n + 2), np.empty((2, n + 1)), np.empty((5, n))
+
+
 class SLSystem:
     """Assembled and factorized operator for one density field.
 
-    The operator works in the buffers of a workspace (:class:`barolab.grid._Workspace`):
-    a public ``SLSystem(...)`` owns its own, while the operator a stage assembles works
-    in the shared workspace of the grid's size and lives only as long as that stage.
-    Every array a method returns without ``out`` is a fresh one owned by the caller.
+    A public ``SLSystem(...)`` works in buffers of its own; every array a method
+    returns without ``out`` is a fresh one owned by the caller.
     """
 
     def __init__(self, grid, rho, reg):
@@ -77,21 +80,21 @@ class SLSystem:
         kappa = rho * reg.slope(rho)  # the slope applies the density rule
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
-        self._assemble(grid, rho, kappa, reg.epsilon, _Workspace(grid.n, cells=5))
+        self._assemble(grid, rho, kappa, reg.epsilon, _buffers(grid.n))
 
     @classmethod
-    def _assembled(cls, grid, rho, kappa, eps):
+    def _assembled(cls, grid, rho, kappa, eps, buffers):
         """The operator of a density already checked, with its ``kappa = rho A'``, in the
-        shared workspace of the grid's size."""
+        caller's ``buffers``, shaped as :func:`_buffers` makes them."""
         system = cls.__new__(cls)
-        system._assemble(grid, rho, kappa, eps, _workspace(grid.n))
+        system._assemble(grid, rho, kappa, eps, buffers)
         return system
 
-    def _assemble(self, grid, rho, kappa, eps, work):
+    def _assemble(self, grid, rho, kappa, eps, buffers):
         """Assembly and factorization, the one path of :meth:`__init__` and :meth:`_assembled`.
 
-        The operator keeps ``k_face``, ``d``, ``e`` and ``T^{-1} w`` in ``work`` and uses
-        its other buffers as scratch: the ghost buffer, a flux row and two cells.
+        The operator keeps ``k_face``, ``d``, ``e`` and ``T^{-1} w`` in ``buffers`` and uses
+        the others as scratch: the ghost buffer, a flux row and two cells.
         """
         self.kappa = kappa
         self.grid = grid
@@ -99,10 +102,8 @@ class SLSystem:
         self.eps = float(eps)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
-        self._ghost = work.ghost
+        self._ghost, (k_face, self._flux), (d, e, w, self._scratch, self._dpsi) = buffers
         # k_face[j] couples cells j-1 and j
-        k_face, self._flux = work.faces
-        d, e, w, self._scratch, self._dpsi = work.cells[-5:]
         padded = grid._pad(self.kappa, out=self._ghost)
         k_face = np.add(padded[:-1], padded[1:], out=k_face)
         k_face *= 0.5

@@ -89,9 +89,7 @@ class TestSteadyOde:
     def test_sonic_locus(self, sw_eos):
         assert bl.sonic_density(1.0, sw_eos) == pytest.approx(1.0, rel=1e-12)
         assert bl.sonic_density(2.0, sw_eos) == pytest.approx(4.0 ** (1 / 3), rel=1e-12)
-        # below the initial bracket [1e-3, 1e3], which then widens
         assert bl.sonic_density(1e-5, sw_eos) == pytest.approx(1e-10 ** (1 / 3), rel=1e-12)
-        # above it
         assert bl.sonic_density(1e5, sw_eos) == pytest.approx(1e10 ** (1 / 3), rel=1e-12)
 
     def test_sign_map_matches_symbolic_oracle(self, sw_eos, cubic_reg):

@@ -89,12 +89,16 @@ class TestParsing:
         ("regularizer", "kind = cubic", "kind = inverse\na = inf"),
         ("eos", "kind = shallow_water", "kind = shallow_water\ng = inf"),
         ("eos", "kind = shallow_water", "kind = isentropic\ngamma = nan"),
+        ("eos", "kind = shallow_water", "kind = shallow_water\nrho_bar = 1e160"),
+        ("eos", "kind = shallow_water", "kind = isentropic\ngamma = 3\nrho_bar = 1e200"),
+        ("eos", "kind = shallow_water", "kind = isentropic\ngamma = 3\nrho_bar = 1e-200"),
         ("grid", "n = 128", "n = 128\ntopology = line\nu_left = nan"),
         ("grid", "n = 128", "n = 128\ntopology = line\nrho_left = -1"),
         ("solver", "t_end = 0.05", "t_end = inf"),
         ("solver", "t_end = 0.05", "t_end = 0.05\nsnapshot_every = -1"),
-    ], ids=["p_nan", "a_inf", "g_inf", "gamma_nan", "u_left_nan", "rho_left_negative",
-            "t_end_inf", "snapshot_every_negative"])
+    ], ids=["p_nan", "a_inf", "g_inf", "gamma_nan", "p_bar_overflows", "scale_overflows",
+            "scale_underflows", "u_left_nan", "rho_left_negative", "t_end_inf",
+            "snapshot_every_negative"])
     def test_broken_domain_rule_names_its_section(self, tmp_path, capsys, section, old, new):
         text = MINIMAL_RBE.replace(old, new)
         with pytest.raises(ConfigError) as err:

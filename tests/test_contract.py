@@ -115,7 +115,8 @@ def test_fuzz_table_covers_the_schema():
 # The explicit examples: a steady profile that reaches vacuum, one too short to
 # fit, a dispersion wave that reaches vacuum, two periodic spacings and a line
 # spacing whose squares leave the doubles; then eps = 0, eps = 1 and a density
-# contrast of 1e3.
+# contrast of 1e3; then two laws whose constants overflow, and an isothermal
+# steady profile whose sonic density is tiny.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=configs(), absolute=st.booleans())
 @example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
@@ -132,6 +133,12 @@ def test_fuzz_table_covers_the_schema():
 @example(config=_cfg("rbe_run", regularizer={"epsilon": "1"}), absolute=False)
 @example(config=_cfg("rbe_run", initial={"kind": "gaussian_bump", "amplitude": "999"}),
          absolute=False)  # a density contrast of 1e3
+@example(config=_cfg("rbe_run", eos={"kind": "shallow_water", "rho_bar": "1e160"}),
+         absolute=False)
+@example(config=_cfg("rbe_run", eos={"kind": "isentropic", "gamma": "3", "rho_bar": "1e200"}),
+         absolute=False)
+@example(config=_cfg("steady_profile", eos={"kind": "isothermal", "rho_bar": "1e-300"}),
+         absolute=False)
 def test_every_config_ends_in_a_documented_exit(config, absolute):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a warning must not become an escaping error

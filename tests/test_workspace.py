@@ -8,7 +8,7 @@ import pytest
 
 import barolab as bl
 from barolab import EquationOfState, Grid, Regularizer, SLSystem, State
-from barolab.grid import _workspace
+from barolab.euler import _workspace
 
 LAWS = [EquationOfState.isentropic(1.4), EquationOfState.isothermal(1.0, 1.0),
         EquationOfState.shallow_water(1.0)]
@@ -29,8 +29,7 @@ def line_state(n):
 
 def poison(n):
     """Fill the shared workspace of size ``n`` with NaN, so a stale read shows."""
-    work = _workspace(n)
-    for buffer in (work.ghost, work.faces, work.cells):
+    for buffer in _workspace(n):
         buffer.fill(np.nan)
 
 
@@ -99,3 +98,17 @@ def test_out_receives_the_result_bitwise():
     u = st.u.copy()
     assert g.ddx(u, far=g.u_far, out=u) is u  # f may be out itself
     assert np.array_equal(u, g.ddx(st.u, far=g.u_far))
+
+
+def test_the_public_calculus_leaves_the_stage_workspace_alone():
+    st = line_state(64)
+    g = st.grid
+    bl.rhs(st, FAMILIES[1], LAWS[1])
+    before = [work.tobytes() for work in _workspace(g.n)]
+    system = SLSystem(g, st.rho, FAMILIES[0])
+    f, buffer = np.exp(-g.x**2), np.empty(g.n)
+    g.ddx(f, far=g.u_far, out=buffer)
+    system.apply(f, far=g.u_far, out=buffer)
+    system.solve(f, out=buffer)
+    system.solve_dx(f, out=buffer)
+    assert [work.tobytes() for work in _workspace(g.n)] == before
