@@ -13,7 +13,6 @@ from .analysis import (
     integrate_steady_profile,
     measured_phase_speed,
     phase_speed,
-    sonic_density,
     steady_ode_rhs,
 )
 from .eos import EquationOfState
@@ -52,6 +51,6 @@ from .hunter_saxton import (
     ghs_step,
 )
 from .regularizer import Regularizer, composite_coefficients
-from .sturm_liouville import SLSystem, exp_kernel, inverse_family_flux, mass_coordinate
+from .sturm_liouville import SLSystem, exp_kernel, inverse_family_flux
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ recovers the exponent and one-sided amplitudes by log-log regression.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class SteadyFluxes:
     momentum: float
     energy: float
 
-    @classmethod
-    def uniform(cls, mass, momentum, energy):
-        return cls(float(mass), float(momentum), float(energy))
-
 
 # Each public function of the steady relation applies the density rule once and
 # takes V, V'', V''' and A' from the unchecked kernels, as the solvers do.  The
@@ -172,11 +168,6 @@ def check_steady_start(fluxes, eos, reg, rho_start):
     if v0 < 0.0:
         raise DomainError("squared slope is negative at rho_start; no profile there")
     return False
-
-
-def sonic_density(mass_flux, eos):
-    """Density where ``rho^3 V''(rho) = I^2`` (the steady denominator's root), in closed form."""
-    return eos._sonic_density(mass_flux)
 
 
 @dataclass
@@ -243,7 +234,7 @@ def cusp_profile(profile, fluxes, eos, reg, n=4097):
     """
     if profile.stop != "sonic":
         raise DomainError(f"profile stopped at {profile.stop!r}, not at a sonic point")
-    rho_s = sonic_density(fluxes.mass, eos)
+    rho_s = eos.sonic_density(fluxes.mass)
     sol, x_stop = profile.sol, profile.x_stop
     rho_c = float(sol(x_stop)[0])
     v_c = steady_ode_rhs(rho_c, fluxes, eos, reg)
@@ -293,9 +284,6 @@ class SingularityFit:
     @property
     def alpha(self):
         return 0.5 * (self.alpha_left + self.alpha_right)
-
-    def to_report(self):
-        return asdict(self)
 
 
 def _side_fit(t, y):

@@ -152,11 +152,12 @@ class ExperimentConfig:
 
 
 def read_ini(text):
-    """The INI dialect of every config: ``#``/``;`` comments, ``%`` taken literally.
+    """The INI dialect of every config: ``#`` and ``;`` start a comment line, ``#`` also
+    an inline comment; ``;`` in a value separates list items; ``%`` is taken literally.
 
     A syntax error raises :class:`ConfigError`.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -205,7 +206,7 @@ def parse_config(text):
     if values["experiment"]["kind"] == "steady_profile" and not any(
             p.startswith(("[eos]", "[regularizer]", "[study]")) for p in problems):
         st = values["study"]
-        fluxes = SteadyFluxes.uniform(st["mass_flux"], st["momentum_flux"], st["energy_flux"])
+        fluxes = SteadyFluxes(st["mass_flux"], st["momentum_flux"], st["energy_flux"])
         try:
             check_steady_start(fluxes, built["eos"], built["regularizer"], st["rho_start"])
         except DomainError as exc:

@@ -197,7 +197,7 @@ class EquationOfState:
             return d2, d3
         return np.divide(scale, rho, out=d2), np.divide(-scale, np.square(rho, out=d3), out=d3)
 
-    def _sonic_density(self, mass_flux):
+    def sonic_density(self, mass_flux):
         """The root of ``rho^3 V''(rho) = I^2`` with ``I = mass_flux``, in closed form.
 
         ``rho^3 V''`` is ``gamma p_bar rho_bar (rho/rho_bar)^(gamma+1)`` (isentropic) or

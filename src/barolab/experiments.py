@@ -262,8 +262,7 @@ def _run_dispersion(config, outdir):
 def _run_steady_profile(config, outdir):
     eos, reg = config.eos, config.regularizer
     st = config["study"]
-    fluxes = analysis.SteadyFluxes.uniform(
-        st["mass_flux"], st["momentum_flux"], st["energy_flux"])
+    fluxes = analysis.SteadyFluxes(st["mass_flux"], st["momentum_flux"], st["energy_flux"])
     res = analysis.integrate_steady_profile(
         fluxes, eos, reg, st["rho_start"], -1, x_max=st["x_max"])
     if res.stop != "sonic":
@@ -274,7 +273,7 @@ def _run_steady_profile(config, outdir):
         summary = {"alpha": fit.alpha, "sonic_density": rho_s, "cusp_position": x0,
                    "predicted_amplitude": analysis.cusp_amplitude_prediction(
                        fluxes, eos, reg, rho_s)}
-        write_json(outdir / "fit.json", fit.to_report())
+        write_json(outdir / "fit.json", dataclasses.asdict(fit))
     write_csv(outdir / "profile.csv", "x,rho", (x, rho))
     return EXIT_OK, summary
 

@@ -11,8 +11,9 @@ source ``-eps L^{-1} d/dx psi`` of the Euler velocity equation becomes
     u_t + u u_x + enthalpy_x = D^{-1}{ (c_u u_x^2 + c_rho rho_x^2) / (2 rho A') }
 
 with ``D^{-1}`` the antiderivative anchored at x = 0.  The coefficients
-``(c_u, c_rho)`` and ``A'`` come from :func:`barolab.euler._source`, their one
-home for both systems.  Exact periodic solutions have a zero-mean source --
+``(c_u, c_rho)`` and ``A'`` are computed in :func:`barolab.regularizer._composite`,
+their one home for both systems, and reached through
+:func:`barolab.euler._source`.  Exact periodic solutions have a zero-mean source --
 the source equals an exact x-derivative of a periodic quantity -- so the
 discrete source is projected to zero mean before integrating; without the
 projection the discretization error would feed a secular,

@@ -119,10 +119,8 @@ def _composite(reg, eos, rho, *work):
     ``c_rho`` in the first three (``V''`` and ``V'''`` start where ``c_u`` and
     ``c_rho`` end), ``A''`` and a scratch array in the last two.
     """
-    out_u, _, out_rho, _, tmp = work or (None,) * 5
-    # A' and A'' buffers are passed only when given, so a regularizer whose
-    # _slopes takes rho alone still serves the callers without buffers
-    da, d2a = reg._slopes(rho, *work[1:4:2])
+    out_u, out_da, out_rho, out_d2a, tmp = work or (None,) * 5
+    da, d2a = reg._slopes(rho, out_da, out_d2a)
     v2, v3 = eos._curvature(rho, out_u, out_rho)
     # c_rho = (V'' + rho V''') A' - rho V'' A''
     c_rho = np.multiply(rho, v3, out=out_rho)

@@ -129,11 +129,6 @@ class SLSystem:
             self._tinv_w = dpttrs(self._d, self._e, w, overwrite_b=1)[0]
             self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
 
-    @property
-    def diagonal(self):
-        """The diagonal ``rho + c (k_{i+1/2} + k_{i-1/2})`` of the matrix, a fresh array."""
-        return self.rho + self._c * (self._k_face[1:] + self._k_face[:-1])
-
     # -- matrix action -------------------------------------------------------
 
     def apply(self, u, far=None, out=None):
@@ -191,8 +186,6 @@ class SLSystem:
         Reduces to the identity for ``eps = 0`` and fixes constant fields.
         """
         psi = np.asarray(psi, dtype=float)
-        if self.eps == 0.0:
-            return psi.copy()
         w = self.solve_dx(psi)
         dw = self.grid.ddx(w, far=(0.0, 0.0))
         return psi + 2.0 * self.eps * self.kappa * dw
@@ -203,11 +196,6 @@ def exp_kernel(xi, width):
     if width <= 0.0:
         raise DomainError("kernel width must be > 0")
     return np.exp(-np.abs(xi) / width) / (2.0 * width)
-
-
-def mass_coordinate(grid, rho):
-    """Mass-Lagrangian coordinate ``xi(x) = integral of rho``, anchored at x = 0."""
-    return grid.antiderivative(rho)
 
 
 def inverse_family_flux(rho_xi, dxi, eos, reg):

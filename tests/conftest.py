@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from barolab import EquationOfState, Regularizer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -20,7 +26,35 @@ def cubic_reg():
     return Regularizer.cubic(0.1)
 
 
+class NegatedRegularizer:
+    """The A -> -A double of a regularizer; neither system may see the difference."""
+
+    def __init__(self, base):
+        self.base = base
+        self.epsilon = base.epsilon
+
+    def derivatives(self, rho):
+        return tuple(-d for d in self.base.derivatives(rho))
+
+    def slope(self, rho):
+        return -self.base.slope(rho)
+
+    def _slopes(self, rho, *out):
+        return tuple(-d for d in self.base._slopes(rho, *out))
+
+
 def observed_order(errors, factor=2.0):
     """Mean convergence order from errors on successively refined grids."""
     errors = np.asarray(errors, dtype=float)
     return float(np.mean(np.log(errors[:-1] / errors[1:]) / np.log(factor)))
+
+
+def load_script(directory, name):
+    """``<directory>/<name>.py`` of the repository, unedited, loaded by path and registered
+    in ``sys.modules`` (a module's dataclasses look their module up there while they are built)."""
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}",
+                                                  ROOT / directory / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -121,9 +121,12 @@ class TestParsing:
         ("[solver]", "[study]\namplitude = 0\n\n[solver]", "[study] amplitude"),
         ("kind = shallow_water", "kind = polytropic", "[eos] kind"),
         ("n = 128", "topology = ring\nn = 128", "[grid] topology"),
+        ("epsilon = 0.1", "epsilon = 0.1 ; note",
+         "[regularizer] epsilon: cannot parse '0.1 ; note' as float"),
     ], ids=["no_experiment_kind", "unknown_experiment_kind", "unknown_initial_kind",
             "file_without_path", "zero_mode", "unknown_on_blowup", "unknown_variant",
-            "unknown_study_solver", "zero_amplitude", "unknown_eos_kind", "unknown_topology"])
+            "unknown_study_solver", "zero_amplitude", "unknown_eos_kind", "unknown_topology",
+            "semicolon_after_a_scalar"])
     def test_every_rule_names_its_key(self, old, new, prefix):
         assert old in MINIMAL_RBE
         with pytest.raises(ConfigError) as err:
@@ -230,6 +233,8 @@ class TestParsing:
     def test_study_lists_are_typed_once(self):
         cfg = parse_config(MINIMAL_RBE + "\n[study]\nmodes = 1, 3;5\n")
         assert cfg["study"]["modes"] == [1, 3, 5]
+        cfg = parse_config(MINIMAL_RBE + "\n[study]\nmodes = 1 ; 2\nepsilons = 0.1 ; 0.01\n")
+        assert cfg["study"]["modes"] == [1, 2] and cfg["study"]["epsilons"] == [0.1, 0.01]
         st = parse_config("[experiment]\nkind = rbe_run\n")["study"]
         assert st["modes"] == [1, 2, 4, 8] and st["resolutions"] == [64, 128, 256]
         assert st["epsilons"] == [0.1, 0.01, 0.001]
@@ -481,6 +486,8 @@ class TestExperiments:
         code, summary = run_experiment(parse_config(text), tmp_path / "sp")
         assert code == 0
         report = json.loads((tmp_path / "sp" / "fit.json").read_text())
+        assert set(report) == {"alpha_left", "alpha_right", "rho_amp_left",
+                               "rho_amp_right", "r2_left", "r2_right", "window"}
         assert abs(report["alpha_left"] - 2 / 3) < 0.05
         assert abs(summary["alpha"] - 2 / 3) < 0.05
 

@@ -160,7 +160,7 @@ def test_one_density_check_per_ghs_stage(density_checks):
 ], ids=["steady_numer_denom", "steady_ode_rhs", "cusp_amplitude_prediction"])
 def test_one_density_check_per_steady_relation_call(density_checks, call):
     # each ODE step and event evaluation of a steady profile makes one such call
-    call(analysis.SteadyFluxes.uniform(1.0, 1.25, 0.5))
+    call(analysis.SteadyFluxes(1.0, 1.25, 0.5))
     assert density_checks[0] == 1
 
 

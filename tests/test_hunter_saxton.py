@@ -13,24 +13,7 @@ from barolab import (
     SolverConfig,
     State,
 )
-from conftest import observed_order
-
-
-class NegatedRegularizer:
-    """A -> -A wrapper; the system must not see the difference."""
-
-    def __init__(self, base):
-        self.base = base
-        self.epsilon = base.epsilon
-
-    def derivatives(self, rho):
-        return tuple(-d for d in self.base.derivatives(rho))
-
-    def slope(self, rho):
-        return -self.base.slope(rho)
-
-    def _slopes(self, rho):
-        return tuple(-d for d in self.base._slopes(rho))
+from conftest import NegatedRegularizer, observed_order
 
 
 def sine_state(grid, a_rho=0.004, a_u=0.008, bump=0.002):

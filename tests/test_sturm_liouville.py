@@ -14,12 +14,10 @@ from barolab import (
     VacuumError,
     exp_kernel,
     inverse_family_flux,
-    mass_coordinate,
 )
 from barolab.regularizer import composite_coefficients
 from barolab.sturm_liouville import RESIDUAL_TOL
-from conftest import observed_order
-from test_hunter_saxton import NegatedRegularizer
+from conftest import NegatedRegularizer, observed_order
 
 UNIT_SLOPE = Regularizer.power(0.5, 1.0)  # A = rho, A' = 1; eps = 1/2 makes L = rho - d2
 
@@ -121,8 +119,13 @@ class TestSolve:
         n = int(2.0**log2_n)  # 8 to 4096 cells, spread evenly over the octaves
         g = unit_grid(topology, n)
         rho = contrast ** rng.random(n)  # rough density, max/min <= contrast
-        sys = SLSystem(g, rho, Regularizer.cubic(10.0**log_eps))
-        norm = np.max(2.0 * sys.diagonal - rho)  # largest absolute row sum
+        reg = Regularizer.cubic(10.0**log_eps)
+        sys = SLSystem(g, rho, reg)
+        # |L|, the largest absolute row sum rho + 2c (k_{i+1/2} + k_{i-1/2}) with
+        # c = 2 eps/dx^2, from kappa = rho A' and the grid's ghosts, not the operator
+        kappa = g._pad(rho * reg.slope(rho))
+        k = 0.5 * (kappa[1:] + kappa[:-1])
+        norm = np.max(rho + 4.0 * reg.epsilon / g.dx**2 * (k[1:] + k[:-1]))
         x, y, f = rng.standard_normal((3, n))
         zero = (0.0, 0.0)  # zero line ghosts: apply is then the plain matrix product
         asym = abs(x @ sys.apply(y, far=zero) - y @ sys.apply(x, far=zero))
@@ -299,7 +302,7 @@ class TestInverseFamilyConvolution:
         assert np.max(np.abs(c_u)) < 1e-14  # (rho^2 A')' vanishes identically here
         psi = c_rho * g.ddx(rho, far=(1.0, 1.0)) ** 2
         via_operator = SLSystem(g, rho, reg).smooth(psi)
-        xi = mass_coordinate(g, rho)
+        xi = g.antiderivative(rho)
         dxi = (xi[-1] - xi[0]) / (n - 1)
         xi_uniform = xi[0] + dxi * np.arange(n)
         via_kernel = np.interp(xi, xi_uniform,

@@ -12,14 +12,17 @@ regularizer, eps = 0.1, on a periodic domain of length 2 pi with
 65536.  The layers are ``ddx``, ``rhs``, one RK4 ``step``, ``SLSystem(...)``
 (assembly and factorization), ``solve_dx`` and ``diagnostics``.
 
-Each layer is called once to warm up and then timed in 7 loops of about 0.05 s
-each; the first table gives the median µs per call.  The second gives
-``ru_minflt`` of this process over the 7 loops, divided by the calls made: the
-pages that the layer's arrays fault in again on every call.
+Each (layer, n) cell is measured in a fresh interpreter, one cell at a time, so
+that no cell sees the heap that an earlier one left.  There the layer is called
+once to warm up and then timed in 7 loops of about 0.05 s each; the first table
+gives the median µs per call.  The second gives ``ru_minflt`` of that
+interpreter over the 7 loops, divided by the calls made: the pages that the
+layer's arrays fault in again on every call.
 """
 
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,6 +74,14 @@ def measure(call):
     return 1e6 * statistics.median(times), faults / calls
 
 
+def measure_alone(name, n):
+    """:func:`measure` of layer ``name`` on ``n`` cells, run in a fresh interpreter."""
+    code = f"import layers; print(*layers.measure(layers.layers({n})[{name!r}]))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    return tuple(map(float, out.split()))
+
+
 def table(title, rows):
     print(f"| {title} | " + " | ".join(f"n = {n}" for n in SIZES) + " |")
     print("|---" * (len(SIZES) + 1) + "|")
@@ -82,8 +93,8 @@ def table(title, rows):
 def main():
     us, faults = {}, {}
     for n in SIZES:
-        for name, call in layers(n).items():
-            t, f = measure(call)
+        for name in layers(min(SIZES)):
+            t, f = measure_alone(name, n)
             us.setdefault(name, []).append(t)
             faults.setdefault(name, []).append(f)
     print(f"barolab at {Path(bl.__file__).resolve().parent}; numpy {np.__version__}")
