@@ -29,11 +29,17 @@ from .errors import (
 )
 from .euler import (
     Diagnostics,
+    GhsState,
     RunResult,
     SolverConfig,
     State,
     cfl_dt,
     diagnostics,
+    ghs_energy,
+    ghs_rhs,
+    ghs_run,
+    ghs_source,
+    ghs_step,
     momentum_field,
     reg_source,
     rhs,
@@ -42,14 +48,6 @@ from .euler import (
     step,
 )
 from .grid import Grid
-from .hunter_saxton import (
-    GhsState,
-    ghs_energy,
-    ghs_rhs,
-    ghs_run,
-    ghs_source,
-    ghs_step,
-)
 from .regularizer import Regularizer, composite_coefficients
 from .sturm_liouville import SLSystem, exp_kernel, inverse_family_flux
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import _check_density
-from .errors import DomainError, FitUnreliableError, MeasurementInvalidError
+from .errors import DomainError, FitUnreliableError, MeasurementInvalidError, _require
 from .euler import SolverConfig, State, run
 from .grid import Grid
 
@@ -189,8 +189,8 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
     """
     from scipy.integrate import solve_ivp  # imported here: only steady profiles need it
 
-    if direction not in (-1, 1):
-        raise DomainError("direction must be +1 or -1")
+    _require((direction in (-1, 1), "direction must be +1 or -1"),
+             (0.0 < x_max, "x_max must be > 0"))  # a NaN x_max fails too
     if check_steady_start(fluxes, eos, reg, rho_start):
         # starting from an equilibrium: the constant state is the profile
         xs = np.linspace(0.0, x_max, 256)

@@ -1,6 +1,8 @@
-"""Method-of-lines integrator for the regularized barotropic Euler system.
+"""Method-of-lines integrators for the regularized barotropic Euler system and for
+its high-frequency companion, the generalized two-component Hunter-Saxton system.
 
-The integrated form is the velocity equation with the smoothed source,
+The integrated form of the Euler system is the velocity equation with the smoothed
+source,
 
     rho_t + (rho u)_x = 0
     u_t + u u_x + P_x/rho = -eps * L^{-1} d/dx { c_u u_x^2 + c_rho rho_x^2 }
@@ -35,11 +37,34 @@ A stage allocates only its two outputs, ``drho`` and ``du``.  Every other
 n-sized array of it (the gradients, the pressure, the coefficients, ``psi``,
 ``kappa``, the operator and its solve) is written, with ``out=`` or in place and
 in the order of the plain formulas, into the stage workspace (:func:`_workspace`):
-11 float buffers that every grid of the same size shares, made on the first
-stage of that size.  No buffer escapes the call, so ``drho`` and ``du`` are fresh
-arrays owned by the caller.  A stage, and so ``step`` and ``run``, is the one
-code that shares buffers: ``Grid.ddx(out=)`` and a public ``SLSystem`` share none.
-A stage is therefore not thread-safe; barolab runs no threads.
+the operator's buffers and three rows of the stage's own, which every grid of the
+same size shares, made on the first stage of that size.  No buffer escapes the
+call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage, and
+so ``step`` and ``run``, is the one code that shares buffers: ``Grid.ddx(out=)``
+and a public ``SLSystem`` share none.  A stage is therefore not thread-safe;
+barolab runs no threads.
+
+At high frequency the Sturm-Liouville operator reduces to its leading symbol,
+``L ~ -2 eps d/dx (kappa d/dx .)`` with ``kappa = rho A'``, so the smoothed
+source ``-eps L^{-1} d/dx psi`` of the Euler velocity equation becomes
+``D^{-1}(psi / 2 kappa)``.  The Hunter-Saxton source is the Euler source
+``psi = c_u u_x^2 + c_rho rho_x^2`` over ``2 rho A'``,
+
+    rho_t + (rho u)_x = 0
+    u_t + u u_x + enthalpy_x = D^{-1}{ (c_u u_x^2 + c_rho rho_x^2) / (2 rho A') }
+
+with ``D^{-1}`` the antiderivative anchored at x = 0, integrated on periodic grids
+by the same RK4 step and run loop.  Exact periodic solutions have a zero-mean
+source -- the source equals an exact x-derivative of a periodic quantity -- so the
+discrete source is projected to zero mean before integrating; without the
+projection the discretization error would feed a secular,
+periodicity-breaking ramp into the velocity.
+
+Replacing ``A`` by ``-A`` leaves the Hunter-Saxton right-hand side bitwise
+unchanged: ``c_u``, ``c_rho`` and ``2 rho A'`` are each linear in ``(A', A'')``,
+so each changes sign exactly and the quotient does not move.  Smooth solutions
+conserve the gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 ) dx``,
+which :func:`diagnostics` reports for a :class:`GhsState`.
 
 For the vanishing-regularization study a first-order local Lax-Friedrichs
 (Rusanov) scheme on the conservative variables is included as the classical
@@ -60,7 +85,7 @@ from .eos import _check_density
 from .errors import DomainError, IntegrationError, NumericalBreakdownError, _require
 from .grid import require_finite
 from .regularizer import _composite
-from .sturm_liouville import SLSystem
+from .sturm_liouville import SLSystem, _buffers
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +151,7 @@ class Diagnostics:
 @dataclass
 class RunResult:
     final: State
-    series: list = field(default_factory=list)     # rows (t, dt, mass, momentum, energy, sup_wx)
+    series: list = field(default_factory=list)     # rows of DIAGNOSTICS_HEADER's columns
     snapshots: list = field(default_factory=list)  # (t, state) pairs at the configured cadence
     blowup: bool = False
     blowup_time: float | None = None
@@ -159,43 +184,44 @@ def _source(rho, ux, rx, reg, eos, *work):
 @functools.lru_cache(maxsize=2)
 def _workspace(n):
     """The stage workspace shared by every grid of ``n`` cells, made on its first stage:
-    the ghost buffer and face rows of the operator and 8 rows of n cells.
-
-    A stage keeps its own arrays in rows 0-2 and hands rows 3-7 to the operator, as the
-    cells of :func:`~barolab.sturm_liouville._buffers`; until it assembles the operator,
-    it uses them as scratch.  Only the two most recent sizes keep theirs.
+    the operator's ``(ghost, faces, cells)`` of :func:`~barolab.sturm_liouville._buffers`
+    and three rows of n cells that are the stage's own.  Only the two most recent sizes
+    keep theirs.
     """
-    return np.empty(n + 2), np.empty((2, n + 1)), np.empty((8, n))
+    return _buffers(n), np.empty((3, n))
 
 
 def rhs(state, reg, eos):
     """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
 
-    Every other n-sized array of the stage lives in the workspace of the grid's size:
-    ``u_x`` and then the solve's result in row 0, ``psi`` in row 1, ``kappa`` in row 2,
-    and the operator in the rows after them.
+    Every other n-sized array of the stage lives in the workspace of the grid's size.
+    The stage's own rows hold ``u_x`` and then the solve's result (row 0), ``rho u``,
+    ``P`` and then ``psi`` (row 1), and ``A'``, which becomes ``kappa`` (row 2).  Until
+    it assembles the operator, the stage uses the operator's cells as scratch: cells
+    0-2 for the other slots of :func:`~barolab.regularizer._composite`, cell 3 for
+    ``dP/dx`` and then ``rho_x``.
     """
     grid = state.grid
     rho, u = state.rho, state.u
-    ghost, faces, cells = _workspace(grid.n)
-    ux = grid.ddx(u, far=grid.u_far, out=cells[0])
-    drho = grid.ddx(np.multiply(rho, u, out=cells[1]), far=grid._far(mul),
+    (ghost, faces, cells), own = _workspace(grid.n)
+    ux = grid.ddx(u, far=grid.u_far, out=own[0])
+    drho = grid.ddx(np.multiply(rho, u, out=own[1]), far=grid._far(mul),
                     out=np.empty(grid.n))
     np.negative(drho, out=drho)
     # the far states reach the kernel as the 0-d arrays the checked form makes of them
     p_far = grid._far(lambda r, _: eos._pressure(np.asarray(r)))
     # not in place: numpy would copy the overlapping interior
-    dp = grid.ddx(eos._pressure(rho, cells[1]), far=p_far, out=cells[6])
+    dp = grid.ddx(eos._pressure(rho, own[1]), far=p_far, out=cells[3])
     dp /= rho
     du = np.negative(u)
     du *= ux
     du -= dp
     if reg.epsilon > 0.0:
-        rx = grid.ddx(rho, far=grid.rho_far, out=cells[6])
-        psi, da = _source(rho, ux, rx, reg, eos, *cells[1:6])
+        rx = grid.ddx(rho, far=grid.rho_far, out=cells[3])
+        psi, da = _source(rho, ux, rx, reg, eos, own[1], own[2], *cells[:3])
         kappa = np.multiply(rho, da, out=da)
-        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (ghost, faces, cells[3:]))
-        smoothed = system.solve_dx(psi, out=cells[0])
+        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (ghost, faces, cells))
+        smoothed = system.solve_dx(psi, out=own[0])
         smoothed *= reg.epsilon
         du -= smoothed
     return drho, du
@@ -259,9 +285,13 @@ def _before_end(t, t_end):
     return t < t_end - 1e-14 * max(1.0, abs(t_end))
 
 
+DIAGNOSTICS_HEADER = "t,dt,mass,momentum,energy,sup_Wx"  # the columns of a series row
+
+
 def _drive(initial, config, reg, eos, advance):
     """The run loop of both systems: ``advance(state, dt)`` takes one step, and every
-    series row ``(t, dt, mass, momentum, energy, sup_wx)`` comes from :func:`diagnostics`."""
+    series row, in the columns of :data:`DIAGNOSTICS_HEADER`, comes from
+    :func:`diagnostics`."""
     def row(state, dt):
         d = diagnostics(state, reg, eos)
         return (state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx)
@@ -304,6 +334,61 @@ def run(initial, config, reg, eos, _rhs=None):
     """
     return _drive(initial, config, reg, eos,
                   lambda state, dt: step(state, dt, reg, eos, _rhs=_rhs))
+
+
+# -- generalized two-component Hunter-Saxton system -------------------------
+
+@dataclass(frozen=True, eq=False)
+class GhsState(State):
+    """Periodic density/velocity pair of the Hunter-Saxton system, checked when built."""
+
+    def __post_init__(self):
+        if not self.grid.is_periodic:
+            raise DomainError("the Hunter-Saxton system is integrated on periodic grids")
+        super().__post_init__()
+
+    def _energy(self, ux, rx, reg, eos):
+        """The gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
+        da = reg._slopes(self.rho)[0]
+        v2 = eos._curvature(self.rho)[0]
+        return self.grid.integrate(self.rho * da * ux**2 + da * v2 * rx**2)
+
+
+def ghs_source(state, reg, eos):
+    """The squared-gradient source of the velocity equation."""
+    return _ghs_source(state.rho, *_gradients(state), reg, eos)
+
+
+def _ghs_source(rho, ux, rx, reg, eos):
+    """The Euler source ``psi`` over ``2 rho A'`` for a checked density."""
+    psi, da = _source(rho, ux, rx, reg, eos)
+    return psi / (2.0 * rho * da)
+
+
+def ghs_rhs(state, reg, eos):
+    """Right-hand side ``(d rho/dt, d u/dt)`` with the mean-free antiderivative."""
+    grid = state.grid
+    rho, u = state.rho, state.u
+    ux = grid.ddx(u)
+    source = _ghs_source(rho, ux, grid.ddx(rho), reg, eos)
+    source = source - source.sum() / grid.n
+    du = -u * ux - grid.ddx(eos._enthalpy(rho)) + grid.antiderivative(source)
+    return -grid.ddx(rho * u), du
+
+
+def ghs_energy(state, reg, eos):
+    """Gradient energy ``integral( rho A' u_x^2 + A' V'' rho_x^2 )``."""
+    return GhsState._energy(state, *_gradients(state), reg, eos)
+
+
+def ghs_step(state, dt, reg, eos):
+    """One RK4 step; every stage state and the result are checked states."""
+    return _rk4(state, dt, ghs_rhs, reg, eos)
+
+
+def ghs_run(initial, config, reg, eos):
+    """Advance to ``t_end`` with blow-up detection on the gradient sup-norm."""
+    return _drive(initial, config, reg, eos, lambda s, dt: ghs_step(s, dt, reg, eos))
 
 
 # -- first-order classical reference ----------------------------------------

@@ -26,17 +26,15 @@ import numpy as np
 from . import analysis
 from .config import build_initial
 from .errors import BarolabError, ConfigError, DomainError, IntegrationError
-from .euler import State, reg_source, run, rusanov_run, step
+from .euler import (DIAGNOSTICS_HEADER, GhsState, State, ghs_run, ghs_step, reg_source, run,
+                    rusanov_run, step)
 from .sturm_liouville import SLSystem
 from .grid import Grid
-from .hunter_saxton import GhsState, ghs_run, ghs_step
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTEGRATION = 2
 EXIT_BLOWUP = 3
-
-DIAGNOSTICS_HEADER = "t,dt,mass,momentum,energy,sup_Wx"
 
 
 def _system(name):

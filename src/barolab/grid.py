@@ -60,15 +60,18 @@ class Grid:
         # the operator divides by dx**2, so its square must be a positive finite double
         spacing_ok = 0.0 < self.dx and 0.0 < self.dx * self.dx < math.inf
         _require(
+            (self.topology in (PERIODIC, LINE), "topology must be periodic or line"),
             (self.n >= 8, "n must be >= 8"),
             (not periodic or spacing_ok,
              "length must be > 0, with (length / n)**2 finite and > 0"),
             (periodic or (spacing_ok and math.isfinite(self.x_min)),
              "x_min and x_max must be finite with x_max > x_min, "
              "and ((x_max - x_min) / n)**2 finite and > 0"),
-            (periodic or all(0.0 < r < math.inf for r in self.rho_far),
+            # the bare constructor can leave a line grid without its far-field pairs
+            (periodic or (self.rho_far is not None
+                          and all(0.0 < r < math.inf for r in self.rho_far)),
              "rho_left and rho_right must be > 0 and finite"),
-            (periodic or all(math.isfinite(v) for v in self.u_far),
+            (periodic or (self.u_far is not None and all(map(math.isfinite, self.u_far))),
              "u_left and u_right must be finite"),
         )
         object.__setattr__(self, "x", self.x_min + self.dx * np.arange(self.n))

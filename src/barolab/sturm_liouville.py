@@ -193,8 +193,8 @@ class SLSystem:
 
 def exp_kernel(xi, width):
     """The normalized exponential kernel ``exp(-|xi|/width) / (2 width)``."""
-    if width <= 0.0:
-        raise DomainError("kernel width must be > 0")
+    if not 0.0 < width < np.inf:  # also NaN
+        raise DomainError("kernel width must be > 0 and finite")
     return np.exp(-np.abs(xi) / width) / (2.0 * width)
 
 

@@ -155,6 +155,12 @@ class TestProfileIntegration:
         with pytest.raises(DomainError, match="direction must be"):
             bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, 0)
 
+    @pytest.mark.parametrize("x_max", [0.0, -1.0, float("nan")])
+    def test_x_max_must_be_positive(self, sw_eos, cubic_reg, x_max):
+        fx = SteadyFluxes(1.0, 1.25, 0.5)
+        with pytest.raises(DomainError, match="x_max must be"):
+            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1, x_max=x_max)
+
     def test_stops_at_sonic_point(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(1.0, 1.25, 0.5)
         res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1)

@@ -145,6 +145,11 @@ def test_grid_validation():
         Grid.periodic(-1.0, 0)
     with pytest.raises(DomainError, match="x_max.*rho_left.*u_left"):
         Grid.line(0.0, -1.0, 64, rho_far=(nan, 1.0), u_far=(inf, 0.0))
+    # the bare constructor names an unknown topology and a line without far-field pairs
+    with pytest.raises(DomainError, match="topology must be periodic or line"):
+        Grid("torus", 16, 0.1, 0.0)
+    with pytest.raises(DomainError, match="rho_left.*u_left"):
+        Grid("line", 16, 0.1, 0.0)
 
 
 @pytest.mark.parametrize("build, rule", [

@@ -273,6 +273,11 @@ class TestInverseFamilyConvolution:
         with pytest.raises(DomainError, match="width"):
             exp_kernel(np.linspace(-1.0, 1.0, 5), 0.0)
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_kernel_width_must_be_finite(self, width):
+        with pytest.raises(DomainError, match="width"):
+            exp_kernel(np.linspace(-1.0, 1.0, 5), width)
+
     def test_constant_density_gives_zero(self, sw_eos):
         reg = Regularizer.inverse(0.05, 1.0, 1.0)
         out = inverse_family_flux(np.full(512, 1.3), 0.01, sw_eos, reg)

@@ -10,7 +10,9 @@ The problem is the one of the ROADMAP's per-layer table: shallow water, cubic
 regularizer, eps = 0.1, on a periodic domain of length 2 pi with
 ``rho = 1 + 0.2 sin x`` and ``u = 0.1 cos x``, at n = 512, 2048, 8192 and
 65536.  The layers are ``ddx``, ``rhs``, one RK4 ``step``, ``SLSystem(...)``
-(assembly and factorization), ``solve_dx`` and ``diagnostics``.
+(assembly and factorization), ``solve_dx`` and ``diagnostics`` of the regularized
+Euler system, and ``ghs_rhs`` and one ``ghs_step`` of the Hunter-Saxton system on a
+``GhsState`` of the same fields.
 
 Each (layer, n) cell is measured in a fresh interpreter, one cell at a time, so
 that no cell sees the heap that an earlier one left.  There the layer is called
@@ -43,6 +45,7 @@ def layers(n):
     reg = bl.Regularizer.cubic(0.1)
     grid = bl.Grid.periodic(2.0 * np.pi, n)
     state = bl.State(0.0, 1.0 + 0.2 * np.sin(grid.x), 0.1 * np.cos(grid.x), grid)
+    ghs = bl.GhsState(state.t, state.rho, state.u, grid)
     system = bl.SLSystem(grid, state.rho, reg)
     psi = bl.reg_source(state, reg, eos)
     dt = bl.cfl_dt(state, eos, 0.5)
@@ -53,6 +56,8 @@ def layers(n):
         "SLSystem(...)": lambda: bl.SLSystem(grid, state.rho, reg),
         "solve_dx": lambda: system.solve_dx(psi),
         "diagnostics": lambda: bl.diagnostics(state, reg, eos),
+        "ghs_rhs": lambda: bl.ghs_rhs(ghs, reg, eos),
+        "ghs_step": lambda: bl.ghs_step(ghs, dt, reg, eos),
     }
 
 
