@@ -42,7 +42,8 @@ same size shares, made on the first stage of that size.  No buffer escapes the
 call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage, and
 so ``step`` and ``run``, is the one code that shares buffers: ``Grid.ddx(out=)``
 and a public ``SLSystem`` share none.  A stage is therefore not thread-safe;
-barolab runs no threads.
+barolab runs no stage on a thread: the worker processes of ``barolab sweep`` each
+have their own workspace, and the pool's helper threads run no barolab code.
 
 At high frequency the Sturm-Liouville operator reduces to its leading symbol,
 ``L ~ -2 eps d/dx (kappa d/dx .)`` with ``kappa = rho A'``, so the smoothed

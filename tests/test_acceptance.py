@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Beside criterion 1 stands a pin on its data: where its energy drift comes from.
+
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines inline.
 Every tolerance is fixed here; nothing is calibrated at runtime.
 """
@@ -38,15 +40,19 @@ def sine_bump(grid, a=0.05, bump=0.03, u_mean=1.0):
     return rho, u
 
 
+# criterion 1's two laws, each with its regularizer
+CONSERVATION_CASES = (
+    ("gamma2+cubic", EquationOfState.shallow_water(1.0), Regularizer.cubic(0.1)),
+    ("isothermal+inverse", EquationOfState.isothermal(1.0, 1.0),
+     Regularizer.inverse(0.1, 1.0, 1.0)),
+)
+
+
 @pytest.fixture(scope="module")
 def conservation_runs():
     """The two criterion-1 runs, shared with criterion 2."""
     out = {}
-    for label, eos, reg in (
-        ("gamma2+cubic", EquationOfState.shallow_water(1.0), Regularizer.cubic(0.1)),
-        ("isothermal+inverse", EquationOfState.isothermal(1.0, 1.0),
-         Regularizer.inverse(0.1, 1.0, 1.0)),
-    ):
+    for label, eos, reg in CONSERVATION_CASES:
         grid = Grid.periodic(1.0, 512)
         rho0, u0 = sine_bump(grid)
         started = time.perf_counter()
@@ -67,6 +73,25 @@ def test_criterion_1_energy_conservation(conservation_runs):
     ok = all(d <= 1e-6 for d in drifts.values()) and all(t <= 30.0 for t in times.values())
     report(1, "energy conservation", ok,
            " ".join(f"{k}: drift={v:.2e} ({times[k]:.1f}s)" for k, v in drifts.items()))
+
+
+@pytest.mark.parametrize("label, eos, reg", CONSERVATION_CASES,
+                         ids=[case[0] for case in CONSERVATION_CASES])
+def test_energy_drift_is_spatial(label, eos, reg):
+    # on criterion 1's data the drift falls as dx^2 and does not move with dt, so it
+    # comes from the spatial scheme; a change to that scheme or to the energy shows
+    # here rather than inside criterion 1's margin
+    def drift(n, cfl):
+        grid = Grid.periodic(1.0, n)
+        res = bl.run(State(0.0, *sine_bump(grid), grid), SolverConfig(t_end=1.0, cfl=cfl),
+                     reg, eos)
+        return rel_drift(np.array(res.series), 4)
+
+    coarse = drift(128, 0.5)
+    ratio = coarse / drift(256, 0.5)
+    dt_shift = abs(drift(128, 0.25) / coarse - 1.0)
+    assert abs(ratio / 4.0 - 1.0) <= 0.15, (label, ratio)
+    assert dt_shift < 0.01, (label, dt_shift)
 
 
 def test_criterion_2_mass_momentum_conservation(conservation_runs):

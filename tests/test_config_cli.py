@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import barolab as bl
-from barolab import ConfigError, analysis, cli, sturm_liouville
+from barolab import BoundaryContaminationWarning, ConfigError, analysis, cli, sturm_liouville
 from barolab.config import _SCHEMA, build_grid, build_initial, parse_config, read_ini
 from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
@@ -32,6 +33,33 @@ n = 128
 kind = sine_bump
 amplitude = 0.05
 mean_velocity = 1.0
+
+[solver]
+t_end = 0.05
+cfl = 0.3
+"""
+
+# two line-grid members whose bump reaches the outer 5% of the domain, so each warns
+LINE_BUMP = """
+[experiment]
+kind = rbe_run
+
+[eos]
+kind = shallow_water
+
+[regularizer]
+kind = cubic
+epsilon = 0.1
+
+[grid]
+topology = line
+n = 256
+x_min = -10
+x_max = 10
+
+[initial]
+kind = gaussian_bump
+width = 2.4
 
 [solver]
 t_end = 0.05
@@ -520,6 +548,30 @@ class TestExperiments:
         assert (out / "profile.csv").exists()
 
 
+def loaded_by_cli_import(cwd, *modules):
+    """Those of ``modules`` that a fresh ``import barolab.cli`` loads."""
+    probe = ("import json, sys, barolab.cli; "
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    src = str(Path(bl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         cwd=cwd, env=dict(os.environ, PYTHONPATH=pythonpath), check=True)
+    return json.loads(out.stdout)
+
+
+def require_pool():
+    """Skip unless a sweep of two members runs them in the forked pool here."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the sweep pool needs the fork start method, which this platform lacks")
+    if cli._cpus() < 2:
+        pytest.skip(f"the sweep pool needs 2 or more CPUs; this process may run on {cli._cpus()}")
+
+
+def pin_to_one_cpu(monkeypatch):
+    """Make ``barolab sweep`` run its members in the plain loop, in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 class TestCli:
     def test_validate_ok_and_bad(self, tmp_path):
         good = tmp_path / "good.cfg"
@@ -743,15 +795,11 @@ class TestCli:
     def test_cli_import_leaves_the_steady_profile_solvers_unloaded(self, tmp_path):
         # scipy.integrate and scipy.optimize serve steady profiles only, so
         # they are imported by the functions that use them
-        probe = ("import sys, barolab.cli; "
-                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-                 "if m in sys.modules))")
-        src = str(Path(bl.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=pythonpath),
-                             check=True)
-        assert out.stdout.strip() == "[]"
+        assert loaded_by_cli_import(tmp_path, "scipy.integrate", "scipy.optimize") == []
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self, tmp_path):
+        # only a sweep that runs its pool imports it, so no other command pays for it
+        assert loaded_by_cli_import(tmp_path, "multiprocessing") == []
 
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
@@ -850,6 +898,88 @@ class TestCli:
             assert names == sorted(p.name for p in member.glob("*.csv"))
             for name in names:
                 assert (member / name).read_bytes() == (single / name).read_bytes(), name
+
+    def test_pool_and_loop_give_the_same_sweep(self, tmp_path, capsys, monkeypatch):
+        require_pool()
+        # the first member reaches vacuum (exit 2), the second completes (exit 0)
+        text = MINIMAL_RBE.replace(
+            "kind = sine_bump\namplitude = 0.05\nmean_velocity = 1.0",
+            "kind = tanh_front\namplitude = 5.0\nwidth = 0.005",
+        ).replace("cfl = 0.3", "cfl = 0.9") + "snapshot_every = 10\n"
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(text)
+
+        def sweep(out):
+            code = cli.main(["sweep", str(cfg), "--param", "initial.amplitude",
+                             "--values", "5.0,0.05", "--output", str(out)])
+            capsys.readouterr()
+            report = json.loads((out / "sweep.json").read_text())
+            for member in report.values():
+                del member["wall_clock_s"]
+            csvs = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.csv")}
+            return code, report, csvs
+
+        pooled = sweep(tmp_path / "pool")
+        assert multiprocessing.active_children() == []
+        pin_to_one_cpu(monkeypatch)
+        looped = sweep(tmp_path / "loop")
+        assert {value: member["exit_code"] for value, member in pooled[1].items()} == {
+            "5.0": 2, "0.05": 0}
+        assert len(pooled[2]) > 3
+        assert pooled == looped
+
+    def test_members_run_in_worker_processes(self, tmp_path, capsys, monkeypatch):
+        require_pool()
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config, output_dir: (0, {"pid": os.getpid()}))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE)
+
+        def pids(values, out):
+            code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                             "--values", values, "--output", str(tmp_path / out)])
+            capsys.readouterr()
+            assert code == 0
+            assert multiprocessing.active_children() == []
+            report = json.loads((tmp_path / out / "sweep.json").read_text())
+            return {member["pid"] for member in report.values()}
+
+        assert os.getpid() not in pids("0.1,0.05", "pool")
+        # one member starts no process, and neither does a one-CPU process
+        assert pids("0.1", "one") == {os.getpid()}
+        pin_to_one_cpu(monkeypatch)
+        assert pids("0.1,0.05", "loop") == {os.getpid()}
+
+    @pytest.mark.parametrize("mode", ["pool", "loop"])
+    def test_member_warnings_reach_the_caller(self, tmp_path, capsys, monkeypatch, mode):
+        if mode == "loop":
+            pin_to_one_cpu(monkeypatch)
+        else:
+            require_pool()
+        cfg = tmp_path / "bump.cfg"
+        cfg.write_text(LINE_BUMP)
+        argv = ["sweep", str(cfg), "--param", "regularizer.epsilon", "--values", "0.1,0.05"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([*argv, "--output", str(tmp_path / "always")]) == 0
+        assert [w.category for w in caught] == [BoundaryContaminationWarning] * 2
+        # an error filter raises inside the member, and the sweep raises it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundaryContaminationWarning):
+                cli.main([*argv, "--output", str(tmp_path / "error")])
+        assert not (tmp_path / "error" / "sweep.json").exists()
+        capsys.readouterr()
+
+    def test_a_member_warning_prints_once_on_the_command_line(self, tmp_path, monkeypatch):
+        # the default filter shows a warning once per place, over all members
+        monkeypatch.delenv("PYTHONWARNINGS", raising=False)
+        cfg = tmp_path / "bump.cfg"
+        cfg.write_text(LINE_BUMP)
+        r = run_cli(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                     "--values", "0.1,0.05", "--output", "sw"], tmp_path, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.count("BoundaryContaminationWarning") == 1, r.stderr
 
     def test_sweep_applies_a_relative_output_root_once(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
