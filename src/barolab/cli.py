@@ -78,63 +78,65 @@ def _cpus():
 
 
 def _member(config, output_dir):
-    """One sweep member in a worker: ``(warnings, outcome, exception)``.
+    """One sweep member in a worker: ``(warnings, run_experiment's outcome)``.
 
     The warnings are recorded under the filters the worker inherited, so an
-    ``error`` filter still raises inside the member; the exception that
-    escapes the member is returned with its traceback, to be raised in order.
+    ``error`` filter still raises inside the member.  An exception that
+    escapes the member reaches the caller through the pool, with the worker's
+    traceback as its cause; the warnings recorded before it are dropped.
     """
-    from multiprocessing.pool import ExceptionWithTraceback
-    outcome = error = None
     with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = run_experiment(config, output_dir)
-        except Exception as exc:
-            error = ExceptionWithTraceback(exc, exc.__traceback__)
-    return [(w.message, w.category, w.filename, w.lineno) for w in caught], outcome, error
+        outcome = run_experiment(config, output_dir)
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught], outcome
 
 
 def _warn_again(message, category, filename, lineno):
-    """Emit a worker's warning here, against the registry of the module that warned."""
+    """Emit a worker's warning here, as the module that warned would have.
+
+    The module is the one loaded from ``filename``.  Its name lets a filter on
+    the module match, and its ``__warningregistry__``, which the plain loop
+    also fills, shows a warning once per place over all members and sweeps.
+    """
     module = next((m for m in list(sys.modules.values())
                    if getattr(m, "__file__", None) == filename), None)
-    if module is None:  # no module of this process was loaded from that file
-        warnings.warn_explicit(message, category, filename, lineno)
-    else:
-        warnings.warn_explicit(message, category, filename, lineno, module.__name__,
-                               vars(module).setdefault("__warningregistry__", {}))
+    warnings.warn_explicit(message, category, filename, lineno, module and module.__name__,
+                           module and vars(module).setdefault("__warningregistry__", {}))
 
 
 def _run_members(jobs):
     """``run_experiment(config, output_dir)`` for each job; the outcomes in job order.
 
     With two or more workers, ``min(jobs, CPUs)``, and ``fork``, the jobs run
-    in a forked pool: each worker has its own stage workspace, and the pool's
-    helper threads run no barolab code.  Each member's warnings are emitted
-    here and the first exception that escaped a member is raised, member by
-    member in job order, as the plain loop would.  Every worker is joined
+    in a forked process pool: each worker has its own stage workspace, and the
+    pool's helper threads run no barolab code.  Each member's warnings are
+    emitted here, member by member in job order, and the first exception that
+    escaped a member is raised in that order, as the plain loop would.  A
+    worker that dies raises ``BrokenProcessPool``.  Every worker is joined
     before this returns.  Otherwise the plain loop runs in this process.
 
     ``fork``, not ``spawn``: a spawned worker imports numpy and barolab afresh,
-    which made a two-member sweep at n = 8192 slower than the loop.  The pool
-    forks its workers before it starts its threads, so only threads of the
-    caller or of its BLAS can be live at the fork (Python 3.12 warns of them).
+    which made a two-member sweep at n = 8192 slower than the loop.
     """
     workers = min(len(jobs), _cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [run_experiment(*job) for job in jobs]
-    import multiprocessing  # here, not at the top: its pool costs every CLI start-up
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        done = pool.starmap(_member, jobs, chunksize=1)
-        pool.close()
-        pool.join()
+    # here, not at the top: the pool's modules would cost every CLI start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     outcomes = []
-    for caught, outcome, error in done:
-        for warning in caught:
-            _warn_again(*warning)
-        if error is not None:
-            raise error
-        outcomes.append(outcome)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when it forks a process with live threads.  The
+            # executor forks every worker at the first submit, before it starts
+            # its own thread; barolab starts none, and OpenBLAS's pool is parked
+            # around a fork by its own pthread_atfork handler.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            done = pool.map(_member, *zip(*jobs))
+        for caught, outcome in done:
+            for warning in caught:
+                _warn_again(*warning)
+            outcomes.append(outcome)
     return outcomes
 
 

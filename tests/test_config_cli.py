@@ -797,9 +797,10 @@ class TestCli:
         # they are imported by the functions that use them
         assert loaded_by_cli_import(tmp_path, "scipy.integrate", "scipy.optimize") == []
 
-    def test_cli_import_leaves_multiprocessing_unloaded(self, tmp_path):
+    def test_cli_import_leaves_the_pool_unloaded(self, tmp_path):
         # only a sweep that runs its pool imports it, so no other command pays for it
-        assert loaded_by_cli_import(tmp_path, "multiprocessing") == []
+        pool = ("multiprocessing", "concurrent.futures.process")
+        assert loaded_by_cli_import(tmp_path, *pool) == []
 
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BAROLAB_OUTPUT_ROOT", str(tmp_path))
@@ -949,6 +950,40 @@ class TestCli:
         assert pids("0.1", "one") == {os.getpid()}
         pin_to_one_cpu(monkeypatch)
         assert pids("0.1,0.05", "loop") == {os.getpid()}
+
+    def test_a_worker_that_dies_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-member raises at once, rather than leaving the sweep waiting
+        require_pool()
+        from concurrent.futures.process import BrokenProcessPool
+        monkeypatch.setattr(cli, "run_experiment", lambda config, output_dir: os._exit(9))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE)
+        with pytest.raises(BrokenProcessPool):
+            cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                      "--values", "0.1,0.05", "--output", str(tmp_path / "sw")])
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "sw" / "sweep.json").exists()
+
+    def test_the_pool_forks_under_an_error_filter(self, tmp_path, capsys, monkeypatch):
+        # Python 3.12+ warns when it forks a process with threads, as numpy's
+        # BLAS threads make this one; that warning must not fail the sweep
+        require_pool()
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                             "--values", "0.1,0.05", "--output", str(tmp_path / "sw")]) == 0
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("mode", ["pool", "loop"])
     def test_member_warnings_reach_the_caller(self, tmp_path, capsys, monkeypatch, mode):

@@ -33,8 +33,8 @@ def test_outputs_match_the_committed_digests(tmp_path, capsys, monkeypatch):
     # every CSV, fit.json and summary.json of tools/configs, byte for byte, where
     # the environment is the one that made the listing: the bits depend on it
     digest = load_script("tools", "csv_digest")
-    header, *listing = (ROOT / "tools" / "digests.txt").read_text().splitlines()
-    made = dict(field.split("=", 1) for field in header.removeprefix("# ").split())
+    listing = (ROOT / "tools" / "digests.txt").read_text().splitlines()
+    made = dict(field.split("=", 1) for field in listing[0].removeprefix("# ").split())
     differ = [f"{key} {made.get(key)} (here {value})"
               for key, value in digest.environment().items() if made.get(key) != value]
     if differ:

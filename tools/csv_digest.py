@@ -15,13 +15,13 @@ summary without its ``wall_clock_s``, the one value that changes between runs,
 serialised with ``json.dumps(..., sort_keys=True)``.  It exits 1 if any run exits
 non-zero and 2 if ``OUT`` is not empty.
 
-``--header`` first prints one ``# key=value ...`` line naming the environment
-that made the digests: the Python, numpy and SciPy versions, the machine, the C
-library and numpy's runtime SIMD features, on which the bits of the outputs
-depend.  ``tools/digests.txt`` is that listing for the current tree, checked by
-``tests/test_tools.py`` wherever the environment matches its header::
+The first line, ``# key=value ...``, names the environment that made the
+digests: the Python, numpy and SciPy versions, the machine, the C library and
+numpy's runtime SIMD features, on which the bits of the outputs depend.
+``tools/digests.txt`` is the listing of the current tree, checked by
+``tests/test_tools.py`` wherever the environment matches its first line::
 
-    PYTHONPATH=src python tools/csv_digest.py --header /tmp/out > tools/digests.txt
+    PYTHONPATH=src python tools/csv_digest.py /tmp/out > tools/digests.txt
 
 Two source trees write byte-identical CSV and ``fit.json`` files and equal
 summaries over the config set when the digests of their runs are equal::
@@ -64,8 +64,6 @@ def environment():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="an empty or new directory for the run outputs")
-    parser.add_argument("--header", action="store_true",
-                        help="first print the environment line of a committed listing")
     args = parser.parse_args(argv)
     out = Path(args.out).resolve()
     if out.exists() and any(out.iterdir()):
@@ -73,8 +71,7 @@ def main(argv=None):
     # the runs start inside CONFIGS, where relative PYTHONPATH entries would not resolve
     entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.abspath(p) for p in entries if p))
-    if args.header:
-        print("# " + " ".join(f"{key}={value}" for key, value in environment().items()))
+    print("# " + " ".join(f"{key}={value}" for key, value in environment().items()))
     failed = False
     for config in sorted(CONFIGS.glob("*.cfg")):
         run = subprocess.run(
