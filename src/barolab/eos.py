@@ -28,20 +28,6 @@ ISENTROPIC = "isentropic"
 ISOTHERMAL = "isothermal"
 
 
-def _power(x, e, out=None):
-    """``x**e``, written into ``out`` when given.
-
-    ``out`` is raised in place with ``**=``, which keeps numpy's fast paths (``x**2``
-    is ``square``, ``x**0.5`` is ``sqrt``) and so the bits of ``x**e``;
-    ``np.power(x, e, out=out)`` would skip them.
-    """
-    if out is None:
-        return x ** e
-    out[...] = x
-    out **= e
-    return out
-
-
 def _finite_positive(value):
     """Whether ``value()``, a float expression of checked constants, is a finite double > 0."""
     try:
@@ -188,10 +174,10 @@ class EquationOfState:
         scale = self.enthalpy_scale
         if self.kind == ISENTROPIC:
             g = self.gamma
-            d2 = _power(rho, g - 2.0, d2)
+            d2 = np.power(rho, g - 2.0, out=d2)
             d2 *= scale
             d2 /= self.rho_bar ** (g - 1.0)
-            d3 = _power(rho, g - 3.0, d3)
+            d3 = np.power(rho, g - 3.0, out=d3)
             d3 *= (g - 2.0) * scale
             d3 /= self.rho_bar ** (g - 1.0)
             return d2, d3

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import _check_density, _power
+from .eos import _check_density
 from .errors import _require
 
 CUBIC = "cubic"
@@ -90,11 +90,11 @@ class Regularizer:
         if self.kind == INVERSE:
             c = self.a * self.rho_bar
             return (np.divide(c, np.square(rho, out=da), out=da),
-                    np.divide(-2.0 * c, _power(rho, 3, d2a), out=d2a))
+                    np.divide(-2.0 * c, np.power(rho, 3, out=d2a), out=d2a))
         p = self.p
-        d2a = _power(rho, p - 2.0, d2a)
+        d2a = np.power(rho, p - 2.0, out=d2a)
         d2a *= p - 1.0
-        return _power(rho, p - 1.0, da), d2a
+        return np.power(rho, p - 1.0, out=da), d2a
 
 
 def composite_coefficients(reg, eos, rho):

@@ -11,8 +11,10 @@ regularizer, eps = 0.1, on a periodic domain of length 2 pi with
 ``rho = 1 + 0.2 sin x`` and ``u = 0.1 cos x``, at n = 512, 2048, 8192 and
 65536.  The layers are ``ddx``, ``rhs``, one RK4 ``step``, ``SLSystem(...)``
 (assembly and factorization), ``solve_dx`` and ``diagnostics`` of the regularized
-Euler system, and ``ghs_rhs`` and one ``ghs_step`` of the Hunter-Saxton system on a
-``GhsState`` of the same fields.
+Euler system, ``ghs_rhs`` and one ``ghs_step`` of the Hunter-Saxton system on a
+``GhsState`` of the same fields, and ``run`` and ``ghs_run``, the run loops of both
+systems.  A call of a run row is one whole run of ``RUN_STEPS`` steps, each with its
+``cfl_dt`` and its ``diagnostics`` row, so its columns are per run, not per step.
 
 Each (layer, n) cell is measured in a fresh interpreter, one cell at a time, so
 that no cell sees the heap that an earlier one left.  There the layer is called
@@ -37,6 +39,7 @@ import barolab as bl  # noqa: E402
 SIZES = (512, 2048, 8192, 65536)
 REPEATS = 7
 LOOP_S = 0.05
+RUN_STEPS = 20
 
 
 def layers(n):
@@ -49,6 +52,8 @@ def layers(n):
     system = bl.SLSystem(grid, state.rho, reg)
     psi = bl.reg_source(state, reg, eos)
     dt = bl.cfl_dt(state, eos, 0.5)
+    # half a step short of RUN_STEPS first steps: dt moves by far less than that here
+    config = bl.SolverConfig(t_end=(RUN_STEPS - 0.5) * dt, cfl=0.5)
     return {
         "ddx": lambda: grid.ddx(state.u),
         "rhs": lambda: bl.rhs(state, reg, eos),
@@ -58,6 +63,8 @@ def layers(n):
         "diagnostics": lambda: bl.diagnostics(state, reg, eos),
         "ghs_rhs": lambda: bl.ghs_rhs(ghs, reg, eos),
         "ghs_step": lambda: bl.ghs_step(ghs, dt, reg, eos),
+        "run": lambda: bl.run(state, config, reg, eos),
+        "ghs_run": lambda: bl.ghs_run(ghs, config, reg, eos),
     }
 
 
