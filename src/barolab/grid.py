@@ -54,6 +54,7 @@ class Grid:
     rho_far: tuple[float, float] | None = None
     u_far: tuple[float, float] | None = None
     x: np.ndarray = field(init=False, repr=False)
+    _anchor: int = field(init=False, repr=False)  # the node nearest x = 0
 
     def __post_init__(self):
         periodic = self.is_periodic
@@ -75,6 +76,7 @@ class Grid:
              "u_left and u_right must be finite"),
         )
         object.__setattr__(self, "x", self.x_min + self.dx * np.arange(self.n))
+        object.__setattr__(self, "_anchor", int(np.argmin(np.abs(self.x))))
 
     # n is checked in __post_init__; max(n, 1) only keeps dx defined until then
 
@@ -159,9 +161,8 @@ class Grid:
         out = np.empty_like(f)
         out[0] = 0.0
         np.cumsum(0.5 * (f[1:] + f[:-1]) * self.dx, out=out[1:])
-        i0 = int(np.argmin(np.abs(self.x)))
-        if i0:
-            out -= out[i0]
+        if self._anchor:
+            out -= out[self._anchor]
         return out
 
     def check_boundary(self, f, far, label="field"):

@@ -1,10 +1,12 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import barolab
 from barolab import EquationOfState, Regularizer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,12 @@ def load_script(directory, name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def child_env(**extra):
+    """``os.environ`` and ``extra``, with the directory holding the barolab this process
+    imported first on ``PYTHONPATH``: a child interpreter then runs the same code from any
+    working directory, where a relative ``PYTHONPATH`` inherited from here would not resolve."""
+    src = str(Path(barolab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)

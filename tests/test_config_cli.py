@@ -14,6 +14,7 @@ from barolab import BoundaryContaminationWarning, ConfigError, analysis, cli, st
 from barolab.config import _SCHEMA, build_grid, build_initial, parse_config, read_ini
 from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
+from conftest import child_env
 
 MINIMAL_RBE = """
 [experiment]
@@ -71,14 +72,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, cwd, env_root):
-    # The child runs from ``cwd``, so a relative PYTHONPATH inherited from the
-    # caller would not resolve there; put the directory holding the barolab
-    # this process imported first, so the child runs the same code.
-    src = str(Path(bl.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, BAROLAB_OUTPUT_ROOT=str(env_root), PYTHONPATH=pythonpath)
-    return subprocess.run([sys.executable, "-m", "barolab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, "-m", "barolab.cli", *args], capture_output=True,
+                          text=True, cwd=cwd, env=child_env(BAROLAB_OUTPUT_ROOT=str(env_root)))
 
 
 class TestParsing:
@@ -548,15 +543,14 @@ class TestExperiments:
         assert (out / "profile.csv").exists()
 
 
-def loaded_by_cli_import(cwd, *modules):
-    """Those of ``modules`` that a fresh ``import barolab.cli`` loads."""
-    probe = ("import json, sys, barolab.cli; "
+def loaded_by_cli_import(cwd, *modules, then="pass"):
+    """Those of ``modules`` that a fresh ``import barolab.cli``, followed by the statement
+    ``then``, loads."""
+    probe = (f"import json, sys, barolab.cli; {then}; "
              f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
-    src = str(Path(bl.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         cwd=cwd, env=dict(os.environ, PYTHONPATH=pythonpath), check=True)
-    return json.loads(out.stdout)
+                         cwd=cwd, env=child_env(), check=True)
+    return json.loads(out.stdout.splitlines()[-1])  # after what ``then`` prints
 
 
 def require_pool():
@@ -796,6 +790,14 @@ class TestCli:
         # scipy.integrate and scipy.optimize serve steady profiles only, so
         # they are imported by the functions that use them
         assert loaded_by_cli_import(tmp_path, "scipy.integrate", "scipy.optimize") == []
+
+    def test_cli_import_and_validate_leave_scipy_linalg_unloaded(self, tmp_path):
+        # the operator's two LAPACK kernels come from SciPy's extension module alone,
+        # so neither start-up nor a validate pays for the scipy.linalg package
+        assert loaded_by_cli_import(tmp_path, "scipy.linalg") == []
+        config = str(CONFIGS / "rbe_periodic_cubic.cfg")
+        validate = f"assert barolab.cli.main(['validate', {config!r}]) == 0"
+        assert loaded_by_cli_import(tmp_path, "scipy.linalg", then=validate) == []
 
     def test_cli_import_leaves_the_pool_unloaded(self, tmp_path):
         # only a sweep that runs its pool imports it, so no other command pays for it

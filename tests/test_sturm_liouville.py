@@ -1,3 +1,7 @@
+import importlib.machinery
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +18,11 @@ from barolab import (
     VacuumError,
     exp_kernel,
     inverse_family_flux,
+    sturm_liouville,
 )
 from barolab.regularizer import composite_coefficients
 from barolab.sturm_liouville import RESIDUAL_TOL
-from conftest import NegatedRegularizer, observed_order
+from conftest import NegatedRegularizer, child_env, observed_order
 
 UNIT_SLOPE = Regularizer.power(0.5, 1.0)  # A = rho, A' = 1; eps = 1/2 makes L = rho - d2
 
@@ -315,3 +320,47 @@ class TestInverseFamilyConvolution:
                                                    dxi, sw_eos, reg))
         scale = np.max(np.abs(via_operator))
         assert np.max(np.abs(via_operator - via_kernel)) <= 1e-2 * scale
+
+
+# run in a fresh interpreter, after the imports that each test puts first
+KERNEL_PROBE = """
+import sys
+import numpy as np
+from barolab import sturm_liouville as sl
+from scipy.linalg import lapack
+
+# one instance of the extension, and barolab's kernels are its own
+assert [k for k, m in sys.modules.items() if m is sl._flapack] == [sl.FLAPACK]
+assert lapack._flapack is sl._flapack
+assert sl.dpttrf is sl._flapack.dpttrf and sl.dpttrs is sl._flapack.dpttrs
+
+rng = np.random.default_rng(5)
+d = 2.0 + rng.random(200)
+e = rng.random(199) - 0.5  # diagonally dominant, so SPD
+b = rng.standard_normal((200, 3))
+ours, theirs = sl.dpttrf(d.copy(), e.copy()), lapack.dpttrf(d.copy(), e.copy())
+assert ours[2] == theirs[2] == 0
+assert all(x.tobytes() == y.tobytes() for x, y in zip(ours[:2], theirs[:2]))
+x = sl.dpttrs(*ours[:2], b)[0]
+assert x.tobytes() == lapack.dpttrs(*theirs[:2], b)[0].tobytes()
+assert np.allclose((np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ x, b)
+
+d[57] = -1.0  # the leading minor of order 58 is not positive
+assert sl.dpttrf(d.copy(), e.copy())[2] == lapack.dpttrf(d.copy(), e.copy())[2] == 58
+"""
+
+
+class TestLapackKernels:
+    @pytest.mark.parametrize("first", ["import barolab", "import scipy.linalg.lapack"])
+    def test_kernels_are_scipys_in_either_import_order(self, tmp_path, first):
+        result = subprocess.run([sys.executable, "-c", first + "\n" + KERNEL_PROBE],
+                                capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert result.returncode == 0, result.stderr
+
+    def test_missing_extension_names_the_directory_searched(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, sturm_liouville.FLAPACK)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            staticmethod(lambda name, path=None, target=None: None))
+        with pytest.raises(ImportError, match=r"_flapack extension in \[.*linalg'\]") as err:
+            sturm_liouville._load_flapack()
+        assert err.value.name == sturm_liouville.FLAPACK

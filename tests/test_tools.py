@@ -18,6 +18,12 @@ def test_every_layer_runs():
             assert result.steps == layers.RUN_STEPS, name
 
 
+def test_startup_line_measures():
+    # the start-up line times interpreters of its own, which the layer calls above never start
+    import_ms, validate_ms, import_mb = load_script("tools", "layers").startup(repeats=1)
+    assert import_ms > 0 and validate_ms > 0 and import_mb > 0
+
+
 def test_loc_counts_code_lines_only():
     text = '''"""Module docstring,
 over two lines."""

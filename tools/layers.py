@@ -22,8 +22,14 @@ once to warm up and then timed in 7 loops of about 0.05 s each; the first table
 gives the median µs per call.  The second gives ``ru_minflt`` of that
 interpreter over the 7 loops, divided by the calls made: the pages that the
 layer's arrays fault in again on every call.
+
+Before the tables, one start-up line gives the median wall ms, over
+``STARTUP_REPEATS`` fresh interpreters each, of ``import barolab.cli`` and of
+``python -m barolab.cli validate`` on ``configs/rbe_periodic_cubic.cfg``,
+interpreter start included, and ``ru_maxrss`` of the last import in MB.
 """
 
+import os
 import resource
 import statistics
 import subprocess
@@ -33,13 +39,15 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
 import barolab as bl  # noqa: E402
 
 SIZES = (512, 2048, 8192, 65536)
 REPEATS = 7
 LOOP_S = 0.05
 RUN_STEPS = 20
+STARTUP_REPEATS = 5
 
 
 def layers(n):
@@ -89,9 +97,32 @@ def measure(call):
 def measure_alone(name, n):
     """:func:`measure` of layer ``name`` on ``n`` cells, run in a fresh interpreter."""
     code = f"import layers; print(*layers.measure(layers.layers({n})[{name!r}]))"
-    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent,
+    out = subprocess.run([sys.executable, "-c", code], cwd=HERE,
                          stdout=subprocess.PIPE, text=True, check=True).stdout
     return tuple(map(float, out.split()))
+
+
+def startup(repeats=STARTUP_REPEATS):
+    """``(import ms, validate ms, import MB)``: the medians over ``repeats`` fresh
+    interpreters of the wall ms of ``import barolab.cli`` and of ``barolab validate``
+    on the periodic cubic config, and ``ru_maxrss`` of the last import in MB."""
+    src = os.pathsep.join(p for p in (str(HERE.parent / "src"), os.environ.get("PYTHONPATH")) if p)
+
+    def median_ms(*args):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            out = subprocess.run([sys.executable, *args], cwd=HERE / "configs",
+                                 env=dict(os.environ, PYTHONPATH=src),
+                                 stdout=subprocess.PIPE, text=True, check=True).stdout
+            times.append(1e3 * (time.perf_counter() - start))
+        return statistics.median(times), out
+
+    probe = ("import resource, barolab.cli; "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    import_ms, maxrss_kib = median_ms("-c", probe)  # ru_maxrss is in KiB on Linux
+    validate_ms, _ = median_ms("-m", "barolab.cli", "validate", "rbe_periodic_cubic.cfg")
+    return import_ms, validate_ms, int(maxrss_kib) * 1024 / 1e6
 
 
 def table(title, rows):
@@ -103,6 +134,9 @@ def table(title, rows):
 
 
 def main():
+    import_ms, validate_ms, import_mb = startup()
+    print(f"start-up: import barolab.cli {import_ms:.0f} ms, {import_mb:.1f} MB; "
+          f"barolab validate {validate_ms:.0f} ms (medians of {STARTUP_REPEATS} interpreters)")
     us, faults = {}, {}
     for n in SIZES:
         for name in layers(min(SIZES)):
