@@ -174,7 +174,7 @@ def check_steady_start(fluxes, eos, reg, rho_start):
 class ProfileResult:
     x: np.ndarray
     rho: np.ndarray
-    stop: str            # "sonic", "turning" or "end"
+    stop: str            # "sonic", "turning", "end" or "equilibrium"
     x_stop: float
     sol: object = None   # dense-output interpolant; None for an equilibrium
 
@@ -197,7 +197,7 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
         return ProfileResult(xs, np.full_like(xs, float(rho_start)), "equilibrium", x_max)
     _, d0 = steady_numer_denom(rho_start, fluxes, eos)
 
-    def slope(x, y):
+    def drho_dx(x, y):
         val = steady_ode_rhs(float(y[0]), fluxes, eos, reg)
         return [direction * np.sqrt(max(val, 0.0))]
 
@@ -211,7 +211,7 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
 
     ev_turning.terminal = True
     ev_sonic.terminal = True
-    sol = solve_ivp(slope, (0.0, x_max), [float(rho_start)], rtol=1e-10, atol=1e-13,
+    sol = solve_ivp(drho_dx, (0.0, x_max), [float(rho_start)], rtol=1e-10, atol=1e-13,
                     events=[ev_turning, ev_sonic], dense_output=True, max_step=x_max / 50.0)
     if sol.t_events[1].size:
         stop, x_stop = "sonic", float(sol.t_events[1][0])

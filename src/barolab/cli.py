@@ -6,12 +6,15 @@ Commands
 ``barolab validate <config>``   check a configuration, its initial data and its output
                                 directory, without making it; report every problem
 ``barolab sweep <config> --param section.key --values a,b,c``
-                                run the experiment once per value; the members run in
+                                run the experiment once per value; every member's
+                                config, initial data and output directory are checked
+                                before the first member runs; the members run in
                                 worker processes, up to one per CPU, and their results,
                                 warnings and exit code come back in the order given
 
-Exit codes: 0 success; 1 a configuration error, raised before the first step:
-the config, a file it names or the output directory is unusable; 2 any failure
+Exit codes: 0 success; 1 a configuration error, raised before the first step
+(of any member, in a sweep): the config, a file it names, its initial data or the
+output directory is unusable; 2 any failure
 after that: an integration failure, a steady profile whose integration leaves
 the admissible densities, or a measurement or fit that fails its own check;
 3 blow-up detected while the configuration demands completion
@@ -151,10 +154,13 @@ def _cmd_sweep(args):
     base = parse_config(text)
     members = [(value, parse_config(_override_config_text(text, args.param, value)))
                for value in values]
+    # every member's initial data is checked, as validate does, and then every member's
+    # directory is made, before the first member runs: a member that cannot start is a
+    # config error before any step, and with bad initial data no directory is made
+    for _, member in members:
+        initial_states(member)
     base_dir = resolve_output_dir(base, args.output)
     key = args.param.split(".", 1)[1]
-    # every member's directory is made before the first member runs, so one that
-    # cannot be made is a config error before any step
     member_dirs = [resolve_output_dir(member, base_dir / f"{key}={value}")
                    for value, member in members]
     outcomes = _run_members([(member, member_dir)

@@ -128,15 +128,6 @@ class EquationOfState:
         p /= self.rho_bar
         return p
 
-    def dpressure(self, rho):
-        """``dP/drho``; positive for every admissible law (hyperbolicity)."""
-        return self._dpressure(_check_density(rho))
-
-    def _dpressure(self, rho):
-        if self.kind == ISENTROPIC:
-            return self.enthalpy_scale * (rho / self.rho_bar) ** (self.gamma - 1.0)
-        return self.enthalpy_scale * np.ones_like(rho)
-
     def enthalpy(self, rho):
         """Specific enthalpy, the integral of ``P'(a)/a`` from ``rho_bar`` to ``rho``."""
         return self._enthalpy(_check_density(rho))
@@ -195,8 +186,11 @@ class EquationOfState:
         return abs(mass_flux) * math.sqrt(self.rho_bar / self.p_bar)
 
     def sound_speed(self, rho):
-        """``sqrt(dP/drho)``, equal to ``sqrt(rho*V''(rho))``."""
+        """``sqrt(dP/drho)``, equal to ``sqrt(rho*V''(rho))``; ``dP/drho > 0`` for every
+        admissible law (hyperbolicity)."""
         return self._sound_speed(_check_density(rho))
 
     def _sound_speed(self, rho):
-        return np.sqrt(self._dpressure(rho))
+        if self.kind == ISENTROPIC:
+            return np.sqrt(self.enthalpy_scale * (rho / self.rho_bar) ** (self.gamma - 1.0))
+        return np.sqrt(self.enthalpy_scale * np.ones_like(rho))

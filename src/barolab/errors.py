@@ -27,7 +27,8 @@ class NumericalBreakdownError(BarolabError, ArithmeticError):
 class IntegrationError(BarolabError, RuntimeError):
     """Time integration produced an invalid state, or a study member blew up before t_end.
 
-    Carries the simulation time at which the failure occurred.
+    Carries the simulation time at which the failure occurred; one that leaves a run
+    loop also carries ``series``, the diagnostics rows computed up to the failure.
     """
 
     def __init__(self, message, t):

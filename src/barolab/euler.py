@@ -292,7 +292,8 @@ DIAGNOSTICS_HEADER = "t,dt,mass,momentum,energy,sup_Wx"  # the columns of a seri
 def _drive(initial, config, reg, eos, advance):
     """The run loop of both systems: ``advance(state, dt)`` takes one step, and every
     series row, in the columns of :data:`DIAGNOSTICS_HEADER`, comes from
-    :func:`diagnostics`."""
+    :func:`diagnostics`.  An :class:`IntegrationError` of a step leaves with the rows
+    computed so far as its ``series``."""
     def row(state, dt):
         d = diagnostics(state, reg, eos)
         return (state.t, dt, d.mass, d.momentum, d.energy, d.sup_wx)
@@ -308,7 +309,11 @@ def _drive(initial, config, reg, eos, advance):
     boundary_warned = False
     while _before_end(state.t, t_end):
         dt = min(cfl_dt(state, eos, config.cfl), t_end - state.t)
-        state = advance(state, dt)
+        try:
+            state = advance(state, dt)
+        except IntegrationError as exc:
+            exc.series = result.series
+            raise
         result.steps += 1
         r = row(state, dt)
         result.series.append(r)

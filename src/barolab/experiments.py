@@ -37,10 +37,14 @@ EXIT_INTEGRATION = 2
 EXIT_BLOWUP = 3
 
 
-def _system(name):
-    """``(state class, driver, stepper)`` of ``rbe`` or ``ghs``, built per call so that a
-    rebinding of these names (perfbench's span tracer does one) reaches every run."""
-    return {"rbe": (State, run, step), "ghs": (GhsState, ghs_run, ghs_step)}[name]
+def _system(config):
+    """``(state class, driver, stepper)`` of the system ``config`` integrates: gHS for
+    ``ghs_run`` and for a ``convergence_study`` with ``[study] solver = ghs``, rbe otherwise.
+    Built per call, so that a rebinding of these names (perfbench's span tracer does one)
+    reaches every run."""
+    kind, solver = config.kind, config["study"]["solver"]
+    ghs = kind == "ghs_run" or (kind == "convergence_study" and solver == "ghs")
+    return (GhsState, ghs_run, ghs_step) if ghs else (State, run, step)
 
 
 CSV_BLOCK_ROWS = 1024  # rows formatted per write; bounds the text held in memory
@@ -118,7 +122,7 @@ def initial_states(config):
     if kind == "convergence_study" and st["variant"] == "spatial":
         grids = [Grid.periodic(config["grid"]["length"], n)
                  for n in (*st["resolutions"], 4 * max(st["resolutions"]))]
-    state_cls = _system({"ghs_run": "ghs", "convergence_study": st["solver"]}.get(kind, "rbe"))[0]
+    state_cls = _system(config)[0]
     try:
         return [state_cls(0.0, *build_initial(config, grid), grid) for grid in grids]
     except (ConfigError, DomainError) as exc:
@@ -213,15 +217,17 @@ def _run_time_series(config, outdir):
     """
     grid = config.grid
     reg, eos = config.regularizer, config.eos
-    is_ghs = config.kind == "ghs_run"
-    _, driver, _ = _system(config.kind.removesuffix("_run"))
+    state_cls, driver, _ = _system(config)
     initial, = initial_states(config)
-    result = driver(initial, config.solver, reg, eos)
-
+    try:
+        result = driver(initial, config.solver, reg, eos)
+    except IntegrationError as exc:  # the rows up to the failure, then the exit-2 summary
+        write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, zip(*exc.series))
+        raise
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, zip(*result.series))
     index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
     for (_, _, name), (_, state) in zip(index, result.snapshots):
-        if is_ghs:
+        if state_cls is GhsState:
             header, cols = "x,rho,u,m", (state.rho * state.u,)
         else:
             op = SLSystem(grid, state.rho, reg)
@@ -237,7 +243,7 @@ def _run_time_series(config, outdir):
         "blowup": result.blowup,
         "blowup_time": result.blowup_time,
     }
-    if not is_ghs:
+    if state_cls is State:
         summary["momentum_drift"] = _drift(result.series, 3)
     code = EXIT_BLOWUP if (result.blowup and config["solver"]["on_blowup"] == "fail") else EXIT_OK
     return code, summary
@@ -311,7 +317,7 @@ def _run_convergence(config, outdir):
     st = config["study"]
     resolutions = st["resolutions"]
     t_end = config.solver.t_end
-    _, driver, stepper = _system(st["solver"])
+    _, driver, stepper = _system(config)
     initials = initial_states(config)
     errs = []
     if st["variant"] == "spatial":

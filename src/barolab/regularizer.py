@@ -59,9 +59,9 @@ class Regularizer:
     def power(cls, epsilon, p):
         return cls(POWER, float(epsilon), p=float(p))
 
-    # Each public method applies the density rule once and hands the checked
-    # array to the unchecked kernel ``_slopes``, the one home of ``A'`` and
-    # ``A''``; a caller that has checked the density itself calls the kernel.
+    # ``derivatives`` applies the density rule once and hands the checked array
+    # to the unchecked kernel ``_slopes``, the one home of ``A'`` and ``A''``; a
+    # caller that has checked the density itself calls the kernel.
 
     def derivatives(self, rho):
         """Return the tuple ``(A, A', A'', A''')`` at ``rho``."""
@@ -75,10 +75,6 @@ class Regularizer:
             p = self.p
             a, d3a = rho**p / p, (p - 1.0) * (p - 2.0) * rho ** (p - 3.0)
         return (a, *self._slopes(rho), d3a)
-
-    def slope(self, rho):
-        """``A'(rho)`` alone, strictly positive for every family."""
-        return self._slopes(_check_density(rho))[0]
 
     def _slopes(self, rho, da=None, d2a=None):
         """``(A', A'')`` of an already checked density, into ``da`` and ``d2a`` when given

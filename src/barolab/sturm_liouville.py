@@ -29,11 +29,11 @@ fresh interpreter that imports ``barolab.cli`` then took 200 ms and 60 MB of pea
 memory, against 110 ms and 33.5 MB this way, for the same functions and so the
 same bits.
 
-``SLSystem(grid, rho, reg)`` applies the density rule once, through
-``reg.slope``, and hands ``kappa`` to the private assembly; the right-hand
-side of :mod:`barolab.euler`, whose stage density is already checked, reaches
-the same assembly with the ``kappa`` it has derived, so there is one assembly
-path and every solve runs the full backward-error guard.
+``SLSystem(grid, rho, reg)`` applies the density rule once, takes ``A'`` from
+the regularizer's unchecked kernel ``_slopes``, and hands ``kappa`` to the private
+assembly; the right-hand side of :mod:`barolab.euler`, whose stage density is
+already checked, reaches the same assembly with the ``kappa`` it has derived,
+so there is one assembly path and every solve runs the full backward-error guard.
 
 That path factors in place (``dpttrf`` and ``dpttrs`` with their overwrite
 flags) in the buffers that :func:`_buffers` lists, and the guard forms its
@@ -118,8 +118,8 @@ class SLSystem:
     """
 
     def __init__(self, grid, rho, reg):
-        rho = np.asarray(rho, dtype=float)
-        kappa = rho * reg.slope(rho)  # the slope applies the density rule
+        rho = _check_density(rho)
+        kappa = rho * reg._slopes(rho)[0]
         if rho.shape != (grid.n,):
             raise DomainError("density shape does not match grid")
         self._assemble(grid, rho, kappa, reg.epsilon, _buffers(grid.n))

@@ -38,9 +38,6 @@ class NegatedRegularizer:
     def derivatives(self, rho):
         return tuple(-d for d in self.base.derivatives(rho))
 
-    def slope(self, rho):
-        return -self.base.slope(rho)
-
     def _slopes(self, rho, *out):
         return tuple(-d for d in self.base._slopes(rho, *out))
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -314,6 +315,7 @@ class TestExperiments:
         with pytest.raises(bl.IntegrationError) as err:
             bl.run(initial, cfg.solver, cfg.regularizer, cfg.eos)
         assert isinstance(err.value.__cause__, bl.NumericalBreakdownError)
+        assert [row[0] for row in err.value.series] == [0.0]  # the rows before the failure
         code, summary = run_experiment(cfg, tmp_path / "b")
         assert code == 2
         written = json.loads((tmp_path / "b" / "summary.json").read_text())
@@ -731,6 +733,34 @@ class TestCli:
         assert "cannot be created" in err and "Traceback" not in err
         assert not list(out.rglob("summary.json")) and not (out / "sweep.json").exists()
 
+    def test_sweep_checks_every_member_initial_data_before_the_first_member_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # the snapshot has the rows of member 64 only: member 96 fails before 64 runs a step
+        monkeypatch.chdir(CONFIGS)  # a file preset names its snapshot relative to here
+        out = tmp_path / "sw"
+        code = cli.main(["sweep", "rbe_file_restart.cfg", "--param", "grid.n",
+                         "--values", "64,96", "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[initial] snapshot snapshot_periodic_64.csv has 64 rows, grid has 96" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_output_directory_that_mkdir_refuses_is_a_config_error(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # a parent without write permission passes check_output_dir; only mkdir fails
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(MINIMAL_RBE)
+        out = tmp_path / "out"
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        assert cli.main(["run", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"output directory {out} cannot be created: [Errno {errno.EACCES}] "
+                f"{os.strerror(errno.EACCES)}: '{out}'") in err
+        assert "Traceback" not in err and sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
+
     def test_output_directory_with_a_null_byte_is_a_config_error(self, tmp_path, capsys,
                                                                  monkeypatch):
         # the path cannot even be given to the OS, which is a ValueError, not an OSError
@@ -867,7 +897,13 @@ class TestCli:
         r = run_cli(["run", str(cfg)], tmp_path, tmp_path)
         assert r.returncode == 2, r.stderr
         summary = json.loads((tmp_path / "fail" / "summary.json").read_text())
-        assert "failure_time" in summary
+        assert summary["failure_time"] > 0.0
+        # the rows up to the failure are kept; no snapshot is written
+        header, *rows = (tmp_path / "fail" / "diagnostics.csv").read_text().splitlines()
+        assert header == "t,dt,mass,momentum,energy,sup_Wx" and len(rows) >= 2
+        assert float(rows[0].split(",")[0]) == 0.0
+        assert float(rows[-1].split(",")[0]) == summary["failure_time"]
+        assert not list((tmp_path / "fail").glob("snapshot*"))
 
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

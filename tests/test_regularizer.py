@@ -40,7 +40,7 @@ class TestDerivatives:
         rho = np.geomspace(0.05, 50.0, 200)
         for reg in (Regularizer.cubic(0.0), Regularizer.inverse(1.0, 2.0, 0.5),
                     Regularizer.power(1.0, -2.0), Regularizer.power(1.0, 0.5)):
-            assert np.all(reg.slope(rho) > 0.0)
+            assert np.all(reg.derivatives(rho)[1] > 0.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
