@@ -13,10 +13,10 @@ Commands
                                 warnings and exit code come back in the order given
 
 Exit codes: 0 success; 1 a configuration error, raised before the first step
-(of any member, in a sweep): the config, a file it names, its initial data or the
-output directory is unusable; 2 any failure
-after that: an integration failure, a steady profile whose integration leaves
-the admissible densities, or a measurement or fit that fails its own check;
+(of any member, in a sweep): the config, a file it names, its initial data or
+the output directory is unusable; 2 any failure after that: an integration
+failure, a steady profile whose integration leaves the admissible densities, or
+a measurement or fit that fails its own check;
 3 blow-up detected while the configuration demands completion
 (``[solver] on_blowup = fail``).  The environment variable
 ``BAROLAB_OUTPUT_ROOT`` prefixes every relative output directory.
@@ -154,9 +154,9 @@ def _cmd_sweep(args):
     base = parse_config(text)
     members = [(value, parse_config(_override_config_text(text, args.param, value)))
                for value in values]
-    # every member's initial data is checked, as validate does, and then every member's
-    # directory is made, before the first member runs: a member that cannot start is a
-    # config error before any step, and with bad initial data no directory is made
+    # before the first member runs, every member's initial data is checked, as validate
+    # does, and then every member's directory is made: a member that cannot start is a
+    # config error before any step, and bad initial data leaves no directory
     for _, member in members:
         initial_states(member)
     base_dir = resolve_output_dir(base, args.output)

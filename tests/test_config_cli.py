@@ -759,7 +759,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert (f"output directory {out} cannot be created: [Errno {errno.EACCES}] "
                 f"{os.strerror(errno.EACCES)}: '{out}'") in err
-        assert "Traceback" not in err and sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"]
+        assert "Traceback" not in err and not out.exists()
 
     def test_output_directory_with_a_null_byte_is_a_config_error(self, tmp_path, capsys,
                                                                  monkeypatch):
