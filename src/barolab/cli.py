@@ -6,11 +6,13 @@ Commands
 ``barolab validate <config>``   check a configuration, its initial data and its output
                                 directory, without making it; report every problem
 ``barolab sweep <config> --param section.key --values a,b,c``
-                                run the experiment once per value; every member's
-                                config, initial data and output directory are checked
-                                before the first member runs; the members run in
-                                worker processes, up to one per CPU, and their results,
-                                warnings and exit code come back in the order given
+                                run the experiment once per value of a key of the
+                                grammar (the section as written, the key in any
+                                case); every member's config, initial data and output
+                                directory are checked before the first member runs;
+                                the members run in worker processes, up to one per
+                                CPU, and their results, warnings and exit code come
+                                back in the order given
 
 Exit codes: 0 success; 1 a configuration error, raised before the first step
 (of any member, in a sweep): the config, a file it names, its initial data or
@@ -31,7 +33,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import parse_config, read_ini
+from .config import _SCHEMA, parse_config, read_ini
 from .errors import ConfigError
 from .experiments import (EXIT_CONFIG, EXIT_OK, check_output_dir, initial_states,
                           resolve_output_dir, run_experiment, write_json)
@@ -60,13 +62,11 @@ def _cmd_run(args):
 
 
 def _override_config_text(text, param, value):
-    if "." not in param:
-        raise ConfigError([f"--param must look like section.key, got {param!r}"])
-    section, key = param.split(".", 1)
+    section, _, key = param.partition(".")
+    if key.lower() not in _SCHEMA.get(section, ()):  # configparser reads keys in lower case
+        raise ConfigError([f"--param must look like section.key of the grammar, got {param!r}"])
     parser = read_ini(text)
-    if not parser.has_section(section):
-        parser.add_section(section)
-    parser.set(section, key, value)
+    parser.read_dict({section: {key: value}})  # which adds a missing section
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -127,11 +127,6 @@ _SCHEMA = {
 }
 
 
-# (section, key, holds, text) for each key that has its own rule
-_RULES = tuple((section, key, *spec[2]) for section, keys in _SCHEMA.items()
-               for key, spec in keys.items() if len(spec) == 3)
-
-
 @dataclass
 class ExperimentConfig:
     """Validated experiment description with the built core objects."""
@@ -152,12 +147,18 @@ class ExperimentConfig:
 
 
 def read_ini(text):
-    """The INI dialect of every config: ``#`` and ``;`` start a comment line, ``#`` also
-    an inline comment; ``;`` in a value separates list items; ``%`` is taken literally.
+    """The INI dialect of every config: one ``key = value`` line per value, with ``=`` the
+    only delimiter; ``#`` and ``;`` start a comment line, ``#`` also an inline comment;
+    ``;`` in a value separates list items; ``%`` is taken literally; ``[DEFAULT]`` is an
+    ordinary section, whose keys no other section inherits.
 
-    A syntax error raises :class:`ConfigError`.
+    A syntax error, such as ``key: value``, raises :class:`ConfigError`.  configparser
+    joins an indented line onto the value above it, and :func:`parse_config` reports
+    such a value as a problem of its key.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no section header can name the default section, since no header holds a line break
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",),
+                                       interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -183,14 +184,17 @@ def parse_config(text):
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 problems.append(f"unknown key '{key}' in section [{section}]")
-                continue
-            conv = _SCHEMA[section][key][0]
-            try:
-                values[section][key] = conv(raw)
-            except ValueError:
-                problems.append(f"[{section}] {key}: cannot parse {raw!r} as {conv.__name__}")
+            elif "\n" in raw:  # configparser joins an indented line onto the value above it
+                problems.append(f"[{section}] {key}: {raw!r} runs onto an indented line")
+            else:
+                conv = _SCHEMA[section][key][0]
+                try:
+                    values[section][key] = conv(raw)
+                except ValueError:
+                    problems.append(f"[{section}] {key}: cannot parse {raw!r} as {conv.__name__}")
 
-    problems += [f"[{section}] {key} {text}" for section, key, holds, text in _RULES
+    problems += [f"[{section}] {key} {text}" for section, keys in _SCHEMA.items()
+                 for key, (_, _, *rule) in keys.items() for holds, text in rule
                  if not holds(values[section][key])]
     problems += _validate(values)
     built = {}

@@ -147,10 +147,17 @@ class TestParsing:
         ("n = 128", "topology = ring\nn = 128", "[grid] topology"),
         ("epsilon = 0.1", "epsilon = 0.1 ; note",
          "[regularizer] epsilon: cannot parse '0.1 ; note' as float"),
+        # the grammar is key = value lines only: no [DEFAULT] whose keys every section
+        # inherits, no ':' delimiter, and no value continued onto an indented line
+        ("[solver]", "[DEFAULT]\ncfl = 0.3\n\n[solver]", "unknown section [DEFAULT]"),
+        ("[solver]", "[DEFAULT]\n\n[solver]", "unknown section [DEFAULT]"),
+        ("kind = rbe_run", "kind: rbe_run", "syntax: "),
+        ("[solver]", "[output]\ndirectory = out\n    more\n\n[solver]", "[output] directory"),
     ], ids=["no_experiment_kind", "unknown_experiment_kind", "unknown_initial_kind",
             "file_without_path", "zero_mode", "unknown_on_blowup", "unknown_variant",
             "unknown_study_solver", "zero_amplitude", "unknown_eos_kind", "unknown_topology",
-            "semicolon_after_a_scalar"])
+            "semicolon_after_a_scalar", "default_section", "empty_default_section",
+            "colon_delimiter", "continuation_line"])
     def test_every_rule_names_its_key(self, old, new, prefix):
         assert old in MINIMAL_RBE
         with pytest.raises(ConfigError) as err:
@@ -1115,8 +1122,21 @@ class TestCli:
     def test_sweep_param_must_name_a_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
-        code = cli.main(["sweep", str(cfg), "--param", "epsilon", "--values", "0.1",
+        # a section and key of the grammar, the section as written: configparser would
+        # take DEFAULT as its own, write an empty key as a line continuing the one above
+        # it, and read "[]" as a syntax error
+        for param in ("epsilon", "DEFAULT.n", "output.", "grid.", ".n", "grid.nn", "GRID.n"):
+            code = cli.main(["sweep", str(cfg), "--param", param, "--values", "64",
+                             "--output", str(tmp_path / "sw")])
+            err = capsys.readouterr().err
+            assert code == 1, param
+            assert "--param must look like section.key" in err and "Traceback" not in err
+            assert list(tmp_path.iterdir()) == [cfg], param
+        # keys, as configparser reads them, are not case-sensitive
+        code = cli.main(["sweep", str(cfg), "--param", "grid.N", "--values", "16,24",
                          "--output", str(tmp_path / "sw")])
-        assert code == 1
-        assert "--param must look like section.key" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
+        capsys.readouterr()
+        assert code == 0
+        for n in (16, 24):  # a header, then one row per node
+            rows = (tmp_path / "sw" / f"N={n}" / "snapshot_000000.csv").read_text().splitlines()
+            assert len(rows) == 1 + n

@@ -1,8 +1,9 @@
-"""The validate/run contract, drawn at random: every config ends in a documented exit.
+"""The validate/run/sweep contract, drawn at random: every config ends in a documented exit.
 
 Exit 1 is a config error and comes before the first step, so a config that
 ``validate`` rejects is rejected by ``run`` too; a config that ``validate``
-accepts runs to 0, 2 or 3 and leaves a ``summary.json``.
+accepts runs to 0, 2 or 3 and leaves a ``summary.json``.  A sweep that does not
+exit 1 leaves a ``sweep.json`` with each member's ``summary.json`` beside it.
 """
 
 import contextlib
@@ -93,6 +94,21 @@ def _text(config):
                    for section, keys in config.items())
 
 
+def _main(tmp, *commands):
+    """``cli.main`` of each command, run in ``tmp`` under the relative output root ``root``:
+    ``(exit codes, stdout, stderr)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a relative output root resolves here
+    try:
+        with mock.patch.dict(os.environ, {"BAROLAB_OUTPUT_ROOT": "root"}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            codes = [cli.main(argv) for argv in commands]
+    finally:
+        os.chdir(cwd)
+    return codes, stdout.getvalue(), stderr.getvalue()
+
+
 def _cfg(kind, **sections):
     """A repro config: the small sizes, then ``sections``."""
     config = {"experiment": {"kind": kind}, "grid": {"n": "16"}, "solver": {"t_end": "0.01"},
@@ -147,27 +163,61 @@ def test_every_config_ends_in_a_documented_exit(config, absolute):
         path.write_text(_text(config))
         root = tmp / "root"
         output = ["--output", str(root / "abs")] if absolute else []
-        stdout, stderr = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(tmp)  # a relative output root resolves here
-        try:
-            with mock.patch.dict(os.environ, {"BAROLAB_OUTPUT_ROOT": "root"}), \
-                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                validated = cli.main(["validate", str(path)])
-                ran = cli.main(["run", str(path), *output])
-        finally:
-            os.chdir(cwd)
+        (validated, ran), stdout, stderr = _main(
+            tmp, ["validate", str(path)], ["run", str(path), *output])
         assert validated in (0, 1)
         if validated == 1:
-            assert ran == 1, stdout.getvalue()
+            assert ran == 1, stdout
         else:
-            assert ran in (0, 2, 3), stderr.getvalue()
+            assert ran in (0, 2, 3), stderr
             outdir = root / "abs" if absolute else root / config["output"]["directory"]
             assert "kind" in json.loads((outdir / "summary.json").read_text())
-        assert "Traceback" not in stderr.getvalue()
-        for written in root.rglob("*.json"):
-            json.loads(written.read_text(), parse_constant=_reject_constant)
-        assert sorted(p.name for p in tmp.iterdir()) in (["case.cfg"], ["case.cfg", "root"])
+        _check_written(tmp, stderr)
+    _check_warnings(caught)
+
+
+def _check_written(tmp, stderr):
+    """No traceback, strict JSON only, and every file under the output root."""
+    assert "Traceback" not in stderr
+    for written in (tmp / "root").rglob("*.json"):
+        json.loads(written.read_text(), parse_constant=_reject_constant)
+    assert sorted(p.name for p in tmp.iterdir()) in (["case.cfg"], ["case.cfg", "root"])
+
+
+def _check_warnings(caught):
     # a front reaching a line grid's edge is the one documented warning
     assert all(issubclass(w.category, BoundaryContaminationWarning) for w in caught), \
         [str(w.message) for w in caught]
+
+
+# Every key with two plausible values that --values can carry: no comma, which
+# separates the values, and no path separator, which a member directory refuses.
+_SWEPT = {(section, key): values for section, keys in _SCHEMA.items() for key in keys
+          if len(values := [v for v in _PLAUSIBLE[section][key]
+                            if "," not in v and os.sep not in v]) >= 2}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(config=configs(), param=st.sampled_from(sorted(_SWEPT)), data=st.data())
+def test_every_sweep_ends_in_a_documented_exit(config, param, data):
+    values = data.draw(st.lists(st.sampled_from(_SWEPT[param]), min_size=2, max_size=2,
+                                unique=True))
+    # "--values=" so that argparse takes "-10,-4" as the option's value
+    argv = ["sweep", "case.cfg", "--param", ".".join(param), f"--values={','.join(values)}"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tmp = Path(tmp)
+        (tmp / "case.cfg").write_text(_text(config))
+        root = tmp / "root"
+        # once under the relative output root, once with an absolute --output
+        codes, _, stderr = _main(tmp, argv, [*argv, "--output", str(root / "abs")])
+        assert codes[0] == codes[1] and codes[0] in (0, 1, 2, 3), (codes, stderr)
+        if codes[0] != 1:
+            for base in (root / config["output"]["directory"], root / "abs"):
+                report = json.loads((base / "sweep.json").read_text())
+                assert sorted(report) == sorted(values)
+                for value in values:  # each member beside the sweep.json, as it reports
+                    summary = (base / f"{param[1]}={value}" / "summary.json").read_text()
+                    assert json.loads(summary)["kind"] == report[value]["kind"]
+        _check_written(tmp, stderr)
+    _check_warnings(caught)
