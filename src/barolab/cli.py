@@ -14,7 +14,10 @@ Commands
                                 CPU, and their results, warnings and exit code come
                                 back in the order given
 
-Exit codes: 0 success; 1 a configuration error, raised before the first step
+Exit codes: 0 success (``--help`` included); 1 a usage error, such as a missing
+command or config, an unknown option or an option without its value (one line
+on stderr; write a ``--values`` list that starts with ``-`` as
+``--values=-10,-4``), or a configuration error, raised before the first step
 (of any member, in a sweep): the config, a file it names, its initial data or
 the output directory is unusable; 2 any failure after that: an integration
 failure, a steady profile whose integration leaves the admissible densities, or
@@ -171,9 +174,25 @@ def _cmd_sweep(args):
     return max(code for code, _ in outcomes)
 
 
+class _UsageError(Exception):
+    """A command line that argparse cannot read: exit 1, as a configuration error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`_UsageError`, not exit 2.
+
+    Its subparsers are of this class too, as ``add_subparsers`` makes them.
+    """
+
+    def error(self, message):
+        if message.startswith("argument --values"):  # argparse reads "-10,-4" as an option
+            message += "; write a list that starts with '-' as --values=-10,-4"
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="barolab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="barolab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
@@ -192,10 +211,10 @@ def main(argv=None):
     p_sweep.add_argument("--output", help="override the base output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,11 +9,13 @@ source,
 
 with ``L`` the Sturm-Liouville operator and ``(c_u, c_rho)`` the composite
 coefficients of :mod:`barolab.regularizer`.  Spatial derivatives are centred
-second order, time stepping is classical RK4 with a CFL-limited step based on
-the characteristic speed ``|u| + c_s`` (the smoothed source adds no
-stiffness).  The pressure gradient is discretized as ``ddx(P)/rho`` -- in the
-continuum this equals the enthalpy gradient, and on a periodic grid it makes
-the discrete momentum sum telescope exactly instead of drifting at O(dx^2).
+second order, time stepping is classical RK4, and every integrator here steps
+by the one CFL rule ``dt = cfl dx / max(|u| + c_s)`` (:func:`cfl_dt`): the
+regularization is linearly non-dispersive, so every linear mode travels at
+``c0``, and the smoothed source adds no stiffness.  The pressure gradient is
+discretized as ``ddx(P)/rho`` -- in the continuum this equals the enthalpy
+gradient, and on a periodic grid it makes the discrete momentum sum telescope
+exactly instead of drifting at O(dx^2).
 
 Smooth solutions conserve mass, total momentum and the energy
 
@@ -229,11 +231,17 @@ def rhs(state, reg, eos):
 
 
 def cfl_dt(state, eos, cfl):
-    """CFL step from the characteristic speed, capped at ``dx``."""
+    """The CFL step ``cfl * dx / max(|u| + c_s)``, the step rule of every integrator.
+
+    The characteristic speed is the one bound: no linear mode is faster than ``c0``
+    and the smoothed source is not stiff, so no other limit applies.  A state in
+    which nothing moves (``u = 0`` and a sound speed that underflows to 0) has no
+    bound at all; it takes ``dx``, a finite step that the run loops clip at ``t_end``.
+    """
     speed = np.max(np.abs(state.u) + eos._sound_speed(state.rho))
     if speed == 0.0:
         return state.grid.dx
-    return min(cfl * state.grid.dx / speed, state.grid.dx)
+    return cfl * state.grid.dx / speed
 
 
 def _rk4(state, dt, f, reg, eos):

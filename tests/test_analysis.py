@@ -5,11 +5,13 @@ import sympy as sp
 import barolab as bl
 from barolab import (
     DomainError,
+    EquationOfState,
     FitUnreliableError,
     MeasurementInvalidError,
     Regularizer,
     SteadyFluxes,
 )
+from barolab import analysis
 from barolab.analysis import check_steady_start, steady_numer_denom
 
 
@@ -50,6 +52,24 @@ class TestPhaseSpeedMeasured:
     def test_rejects_bad_mode(self, sw_eos, cubic_reg):
         with pytest.raises(DomainError):
             bl.measured_phase_speed(sw_eos, cubic_reg, 0, 1e-6)
+
+    def test_slow_sound_takes_the_cfl_step(self, monkeypatch):
+        # c0 = 0.01, so one period is long, yet it takes about 256 / (0.3 k) steps, as
+        # for any c0.  A step capped at dx gave these speeds in 25601 and 12801 steps.
+        steps, run = [], analysis.run
+
+        def counted(*args):
+            result = run(*args)
+            steps.append(result.steps)
+            return result
+
+        monkeypatch.setattr(analysis, "run", counted)
+        eos = EquationOfState.isentropic(1e-4)
+        for k, c_capped, capped_steps in ((1, 9.99899652219635e-3, 25601),
+                                          (2, 9.995985015854835e-3, 12801)):
+            c = bl.measured_phase_speed(eos, Regularizer.cubic(0.1), k, 1e-6)
+            assert c == pytest.approx(c_capped, rel=1e-6)
+            assert steps[-1] <= capped_steps / 10
 
 
 class TestFarFieldFluxes:

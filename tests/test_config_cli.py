@@ -862,6 +862,32 @@ class TestCli:
         assert cli.main([command[0], missing, *command[1:]]) == 1
         assert f"cannot read {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "barolab: error: the following arguments are required: command"),
+        (["run"], "barolab run: error: the following arguments are required: config"),
+        (["run", "x.cfg", "--bogus"], "barolab: error: unrecognized arguments: --bogus"),
+        (["sweep", str(CONFIGS / "rbe_line_power.cfg"), "--param", "grid.x_min",
+          "--values", "-10,-4"], "barolab sweep: error: argument --values: expected one "
+                                 "argument; write a list that starts with '-' as --values=-10,-4"),
+    ], ids=["no_command", "no_config", "unknown_option", "values_split_from_a_leading_minus"])
+    def test_usage_errors_exit_1_with_one_line(self, tmp_path, monkeypatch, capsys, argv,
+                                               message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_usage_error_exits_1_from_the_module(self, tmp_path):
+        r = run_cli([], tmp_path, tmp_path)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "barolab: error: the following arguments are required: command\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0 and "usage: barolab" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
     def test_committed_configs_validate(self, monkeypatch, capsys, name):
         monkeypatch.chdir(CONFIGS)  # a file preset names its snapshot relative to here

@@ -29,8 +29,9 @@ SNAPSHOT = Path(__file__).resolve().parents[1] / "tools" / "configs" / "snapshot
 # are large.
 _PLAUSIBLE = {
     "experiment": {"kind": EXPERIMENT_KINDS},
-    "eos": {"kind": ("isentropic", "isothermal", "shallow_water"), "gamma": ("1.4", "2", "3"),
-            "rho_bar": ("0.5", "1", "2"), "p_bar": ("0.5", "1"), "g": ("0.5", "1", "9.81")},
+    "eos": {"kind": ("isentropic", "isothermal", "shallow_water"),
+            "gamma": ("1e-4", "1.4", "2", "3"), "rho_bar": ("0.5", "1", "2"),
+            "p_bar": ("0.5", "1"), "g": ("0.5", "1", "9.81")},
     "regularizer": {"kind": ("cubic", "inverse", "power"), "epsilon": ("0", "0.01", "0.1", "1"),
                     "a": ("0.5", "1"), "p": ("-1", "2", "3")},
     "grid": {"topology": ("periodic", "line"), "n": ("8", "16", "32"),
@@ -58,9 +59,12 @@ _ALWAYS = {("experiment", "kind"), ("grid", "n"), ("solver", "t_end"), ("study",
 _TOKENS = ("0", "-1", "nan", "inf", "1e300", "1e-300")
 # No token goes into the kind or the output directory, nor into a key where it
 # can ask for an unbounded number of steps: a tiny cfl or a huge t_end directly,
-# a sound speed or velocity scale through the CFL step, and a steady x_max
-# through the ODE's length.  What a run will cost is not checked at parse time,
-# so these keys keep plausible values.
+# a large sound speed or velocity scale through the CFL step, and a steady x_max
+# through the ODE's length.  A small speed asks for few steps, not many: the step
+# grows as the speeds fall, and one period of a dispersion mode k takes about
+# max(256, 64 k) / (0.3 k) steps at any sound speed, so gamma = 1e-4 (c0 = 0.01)
+# is plausible.  What a run will cost is not checked at parse time, so these keys
+# keep plausible values.
 _NO_TOKEN = {("experiment", "kind"), ("output", "directory"),
             ("solver", "t_end"), ("solver", "cfl"), ("study", "x_max"),
             *(("eos", key) for key in _PLAUSIBLE["eos"]),
@@ -131,8 +135,9 @@ def test_fuzz_table_covers_the_schema():
 # The explicit examples: a steady profile that reaches vacuum, one too short to
 # fit, a dispersion wave that reaches vacuum, two periodic spacings and a line
 # spacing whose squares leave the doubles; then eps = 0, eps = 1 and a density
-# contrast of 1e3; then two laws whose constants overflow, and an isothermal
-# steady profile whose sonic density is tiny.
+# contrast of 1e3; then two laws whose constants overflow, an isothermal
+# steady profile whose sonic density is tiny, and a dispersion study at slow
+# sound (c0 = 0.01), whose long periods take the same steps as at any c0.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=configs(), absolute=st.booleans())
 @example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
@@ -154,6 +159,8 @@ def test_fuzz_table_covers_the_schema():
 @example(config=_cfg("rbe_run", eos={"kind": "isentropic", "gamma": "3", "rho_bar": "1e200"}),
          absolute=False)
 @example(config=_cfg("steady_profile", eos={"kind": "isothermal", "rho_bar": "1e-300"}),
+         absolute=False)
+@example(config=_cfg("dispersion_study", eos={"gamma": "1e-4"}, study={"modes": "1, 2"}),
          absolute=False)
 def test_every_config_ends_in_a_documented_exit(config, absolute):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
@@ -202,7 +209,8 @@ _SWEPT = {(section, key): values for section, keys in _SCHEMA.items() for key in
 def test_every_sweep_ends_in_a_documented_exit(config, param, data):
     values = data.draw(st.lists(st.sampled_from(_SWEPT[param]), min_size=2, max_size=2,
                                 unique=True))
-    # "--values=" so that argparse takes "-10,-4" as the option's value
+    # "--values=", so that argparse takes "-10,-4" as the option's value; the split
+    # form "--values -10,-4" is a usage error (test_every_usage_error_exits_1)
     argv = ["sweep", "case.cfg", "--param", ".".join(param), f"--values={','.join(values)}"]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -221,3 +229,39 @@ def test_every_sweep_ends_in_a_documented_exit(config, param, data):
                     assert json.loads(summary)["kind"] == report[value]["kind"]
         _check_written(tmp, stderr)
     _check_warnings(caught)
+
+
+@st.composite
+def usage_errors(draw):
+    """``(form, argv)``: a command line that argparse cannot read, with a drawn command,
+    swept key and values; the config it names is ``case.cfg``."""
+    command = draw(st.sampled_from(("validate", "run", "sweep")))
+    param = ["--param", ".".join(draw(st.sampled_from(sorted(_SWEPT))))]
+    # a list that starts with "-" and holds a comma, which no negative number does
+    values = draw(st.sampled_from(("-10,-4", "-1,1", "-0.5,-1e-3")))
+    options = {"validate": [], "run": draw(st.sampled_from(([], ["--output", "o"]))),
+               "sweep": [*param, f"--values={values}"]}[command]
+    form = draw(st.sampled_from(("no command", "no config", "unknown option",
+                                 "no values", "split values")))
+    return form, {
+        "no command": draw(st.sampled_from(([], ["--output", "o"], ["case.cfg"]))),
+        "no config": [command, *options],
+        "unknown option": [command, "case.cfg", *options, "--bogus"],
+        "no values": ["sweep", "case.cfg", *param],
+        "split values": ["sweep", "case.cfg", *param, "--values", values],
+    }[form]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=configs(), drawn=usage_errors())
+def test_every_usage_error_exits_1(config, drawn):
+    form, argv = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "case.cfg").write_text(_text(config))
+        (code,), stdout, stderr = _main(tmp, argv)
+        assert (code, stdout) == (1, ""), (argv, stderr)
+        assert stderr.startswith("barolab") and stderr.count("\n") == 1, stderr
+        if form == "split values":
+            assert "--values=-10,-4" in stderr
+        _check_written(tmp, stderr)

@@ -232,10 +232,21 @@ class TestCflDt:
         # constant sound speed: dt does not collapse as rho -> 0
         assert bl.cfl_dt(st, iso_eos, 0.5) == pytest.approx(0.5 * g.dx / 1.0, rel=1e-12)
 
-    def test_capped_at_dx(self, sw_eos):
+    def test_step_scales_with_the_time_unit(self):
+        # slow sound (c0 = 0.01) and slow flow, so dt is many dx.  Measuring time in a
+        # unit mu times as long (u -> u/mu, p_bar -> p_bar/mu^2) divides every speed by
+        # mu, so the step, a time, becomes mu dt.
         g = Grid.periodic(1.0, 64)
-        st = State(0.0, np.full(64, 1e-8), np.zeros(64), g)
-        assert bl.cfl_dt(st, sw_eos, 1.0) == g.dx
+        rho = 1.0 + 0.5 * np.exp(-(((g.x - 0.5) / 0.1) ** 2))
+        u = 0.005 * np.sin(2 * np.pi * g.x)
+
+        def dt(mu):
+            eos = EquationOfState.isentropic(1e-4, 1.0, 1.0 / mu**2)
+            return bl.cfl_dt(State(0.0, rho, u / mu, g), eos, 0.5)
+
+        assert dt(1.0) > 10 * g.dx
+        for mu in (0.25, 4.0):
+            assert dt(mu) == pytest.approx(mu * dt(1.0), rel=1e-12)
 
     def test_rest_with_underflowing_sound_speed_takes_dx(self):
         # c = sqrt(5 rho^4) underflows to 0 at rho = 1e-90: no speed at all
