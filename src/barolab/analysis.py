@@ -70,7 +70,7 @@ def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):
     def mode(state):
         return np.fft.rfft(state.rho - eos.rho_bar)
 
-    spec0 = mode(result.snapshots[0][1])
+    spec0 = mode(result.snapshots[0])
     spec1 = mode(result.final)
     amp_fund = np.abs(spec1[k])
     others = np.abs(spec1).copy()
@@ -179,23 +179,25 @@ class ProfileResult:
     sol: object = None   # dense-output interpolant; None for an equilibrium
 
 
-def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0):
-    """Integrate ``d rho/dx = direction * sqrt(squared slope)`` from ``x = 0``.
+def integrate_steady_profile(fluxes, eos, reg, rho_start, x_max=10.0):
+    """Integrate ``d rho/dx = +-sqrt(squared slope)`` from ``x = 0`` toward the sonic density.
 
-    Adaptive RK with terminal events at slope-zero points (the numerator
-    crossing zero) and at sonic proximity (the denominator shrunk to
-    ``SONIC_PROXIMITY`` of its starting magnitude).  Branch switching at
-    turning points is the caller's composition task.
+    The density rises when ``rho_start`` lies below the sonic density and falls
+    when it lies above: below it the denominator ``D`` is positive, since
+    ``rho^3 V''`` increases with ``rho``.  Adaptive RK with terminal events at
+    slope-zero points (the numerator crossing zero) and at sonic proximity (the
+    denominator shrunk to ``SONIC_PROXIMITY`` of its starting magnitude).
+    Branch switching at turning points is the caller's composition task.
     """
     from scipy.integrate import solve_ivp  # imported here: only steady profiles need it
 
-    _require((direction in (-1, 1), "direction must be +1 or -1"),
-             (0.0 < x_max, "x_max must be > 0"))  # a NaN x_max fails too
+    _require((0.0 < x_max, "x_max must be > 0"))  # a NaN x_max fails too
     if check_steady_start(fluxes, eos, reg, rho_start):
         # starting from an equilibrium: the constant state is the profile
         xs = np.linspace(0.0, x_max, 256)
         return ProfileResult(xs, np.full_like(xs, float(rho_start)), "equilibrium", x_max)
     _, d0 = steady_numer_denom(rho_start, fluxes, eos)
+    direction = 1 if d0 > 0.0 else -1  # the start rule has rejected D = 0
 
     def drho_dx(x, y):
         val = steady_ode_rhs(float(y[0]), fluxes, eos, reg)
@@ -226,9 +228,11 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, direction, x_max=10.0)
 def cusp_profile(profile, fluxes, eos, reg, n=4097):
     """Two-sided steady profile around the sonic point where ``profile`` stopped.
 
-    Locates the cusp position by the local two-thirds model, mirrors the
-    branch and resamples it uniformly with the cusp exactly on a node.
-    Returns ``(x, rho, x_center, rho_center)``.  ``profile`` is an
+    The branch may reach the sonic density from above or from below.  Locates
+    the cusp position by the local two-thirds model, mirrors the branch and
+    resamples it uniformly with the cusp exactly on the middle node: ``n``
+    samples for an odd ``n``, ``n - 1`` for an even one.  Returns
+    ``(x, rho, x_center, rho_center)``.  ``profile`` is an
     :func:`integrate_steady_profile` result; one that did not stop at a sonic
     point raises :class:`DomainError`.
     """
@@ -238,8 +242,8 @@ def cusp_profile(profile, fluxes, eos, reg, n=4097):
     sol, x_stop = profile.sol, profile.x_stop
     rho_c = float(sol(x_stop)[0])
     v_c = steady_ode_rhs(rho_c, fluxes, eos, reg)
-    # local model rho - rho_s ~ (x0 - x)^(2/3)  =>  x0 - x = (2/3)(rho - rho_s)/|rho'|
-    x0 = x_stop + (2.0 / 3.0) * (rho_c - rho_s) / np.sqrt(v_c)
+    # local model rho - rho_s ~ a (x0 - x)^(2/3)  =>  x0 - x = (2/3)|rho - rho_s|/|rho'|
+    x0 = x_stop + (2.0 / 3.0) * abs(rho_c - rho_s) / np.sqrt(v_c)
     half = np.linspace(0.0, x0, (n + 1) // 2)
     branch = np.where(half <= x_stop, sol(np.minimum(half, x_stop))[0],
                       rho_s + (rho_c - rho_s) * ((x0 - half) / (x0 - x_stop)) ** (2.0 / 3.0))
@@ -250,22 +254,24 @@ def cusp_profile(profile, fluxes, eos, reg, n=4097):
 
 
 def cusp_amplitude_prediction(fluxes, eos, reg, rho_sonic):
-    """One-sided cusp amplitude from the local analysis of the steady relation.
+    """Signed cusp amplitude ``a`` of ``rho - rho_s = a |x - x0|^(2/3)`` from the local analysis.
 
     Matching the ``|x - x0|^(-2/3)`` coefficients of the squared-slope relation
     at the sonic density gives a relation cubic in the amplitude,
 
-        amp^3 = (9 rho_s^3 / 8 eps A'(rho_s)) * (-N(rho_s) / (3 I^2 + rho_s^4 V'''(rho_s))),
+        a^3 = (9 rho_s^3 / 8 eps A'(rho_s)) * (-N(rho_s) / (3 I^2 + rho_s^4 V'''(rho_s))),
 
     since the expanded denominator itself carries one factor of the amplitude.
+    ``a`` is negative for a profile that reaches the sonic density from below.
+    A cube that is 0 or not finite raises :class:`DomainError`.
     """
     checked = _check_density(rho_sonic)
     numer, _ = _numer_denom(rho_sonic, checked, fluxes, eos)
     da = float(reg._slopes(checked)[0])
     amp3 = (9.0 * rho_sonic**3 / (8.0 * reg.epsilon * da)) * (
         -numer / (3.0 * fluxes.mass**2 + rho_sonic**4 * eos._curvature(checked)[1]))
-    if amp3 <= 0.0:
-        raise DomainError("the local analysis admits no real cusp amplitude here")
+    if amp3 == 0.0 or not np.isfinite(amp3):
+        raise DomainError("the local analysis admits no finite nonzero cusp amplitude here")
     return float(np.cbrt(amp3))
 
 

@@ -30,13 +30,12 @@ a measurement or fit that fails its own check;
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import warnings
 from pathlib import Path
 
-from .config import _SCHEMA, parse_config, read_ini
+from .config import _SCHEMA, _parse, parse_config, read_ini
 from .errors import ConfigError
 from .experiments import (EXIT_CONFIG, EXIT_OK, check_output_dir, initial_states,
                           resolve_output_dir, run_experiment, write_json)
@@ -64,15 +63,15 @@ def _cmd_run(args):
     return code
 
 
-def _override_config_text(text, param, value):
+def _member_config(text, param, value):
+    """The config of ``text`` with ``param`` set to ``value``, the value taken as
+    written: a ``#`` in it starts no comment."""
     section, _, key = param.partition(".")
     if key.lower() not in _SCHEMA.get(section, ()):  # configparser reads keys in lower case
         raise ConfigError([f"--param must look like section.key of the grammar, got {param!r}"])
     parser = read_ini(text)
     parser.read_dict({section: {key: value}})  # which adds a missing section
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
+    return _parse(parser)
 
 
 def _cpus():
@@ -155,8 +154,7 @@ def _cmd_sweep(args):
     if any(sep in value for value in values for sep in (os.sep, os.altsep) if sep):
         raise ConfigError([f"--values must not contain a path separator, got {args.values!r}"])
     base = parse_config(text)
-    members = [(value, parse_config(_override_config_text(text, args.param, value)))
-               for value in values]
+    members = [(value, _member_config(text, args.param, value)) for value in values]
     # before the first member runs, every member's initial data is checked, as validate
     # does, and then every member's directory is made: a member that cannot start is a
     # config error before any step, and bad initial data leaves no directory

@@ -171,8 +171,12 @@ def parse_config(text):
 
     Raises :class:`ConfigError` carrying the complete list of violations.
     """
+    return _parse(read_ini(text))
+
+
+def _parse(parser):
+    """The :class:`ExperimentConfig` of a :func:`read_ini` parser, whose values are raw text."""
     problems = []
-    parser = read_ini(text)
 
     # copies, so that no two configs share a default study list
     values = {section: {key: copy.copy(spec[1]) for key, spec in keys.items()}

@@ -155,7 +155,7 @@ class Diagnostics:
 class RunResult:
     final: State
     series: list = field(default_factory=list)     # rows of DIAGNOSTICS_HEADER's columns
-    snapshots: list = field(default_factory=list)  # (t, state) pairs at the configured cadence
+    snapshots: list = field(default_factory=list)  # states at the configured cadence
     blowup: bool = False
     blowup_time: float | None = None
     steps: int = 0
@@ -312,7 +312,7 @@ def _drive(initial, config, reg, eos, advance):
     threshold = config.blowup_threshold
     if threshold is None:
         threshold = config.blowup_factor * (result.series[0][-1] + 1.0)
-    result.snapshots.append((state.t, state))
+    result.snapshots.append(state)
     t_end = initial.t + config.t_end
     boundary_warned = False
     while _before_end(state.t, t_end):
@@ -326,7 +326,7 @@ def _drive(initial, config, reg, eos, advance):
         r = row(state, dt)
         result.series.append(r)
         if config.snapshot_every and result.steps % config.snapshot_every == 0:
-            result.snapshots.append((state.t, state))
+            result.snapshots.append(state)
         if r[-1] > threshold:
             result.blowup = True
             result.blowup_time = state.t
@@ -334,8 +334,8 @@ def _drive(initial, config, reg, eos, advance):
         if not boundary_warned:
             boundary_warned = state.grid.check_boundary(
                 state.rho, state.grid.rho_far, "density")
-    if result.snapshots[-1][0] != state.t:
-        result.snapshots.append((state.t, state))
+    if result.snapshots[-1].t != state.t:
+        result.snapshots.append(state)
     result.final = state
     return result
 

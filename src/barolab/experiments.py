@@ -225,8 +225,9 @@ def _run_time_series(config, outdir):
         write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, zip(*exc.series))
         raise
     write_csv(outdir / "diagnostics.csv", DIAGNOSTICS_HEADER, zip(*result.series))
-    index = [(idx, t, f"snapshot_{idx:06d}.csv") for idx, (t, _) in enumerate(result.snapshots)]
-    for (_, _, name), (_, state) in zip(index, result.snapshots):
+    index = [(idx, state.t, f"snapshot_{idx:06d}.csv")
+             for idx, state in enumerate(result.snapshots)]
+    for (_, _, name), state in zip(index, result.snapshots):
         if state_cls is GhsState:
             header, cols = "x,rho,u,m", (state.rho * state.u,)
         else:
@@ -267,8 +268,7 @@ def _run_steady_profile(config, outdir):
     eos, reg = config.eos, config.regularizer
     st = config["study"]
     fluxes = analysis.SteadyFluxes(st["mass_flux"], st["momentum_flux"], st["energy_flux"])
-    res = analysis.integrate_steady_profile(
-        fluxes, eos, reg, st["rho_start"], -1, x_max=st["x_max"])
+    res = analysis.integrate_steady_profile(fluxes, eos, reg, st["rho_start"], x_max=st["x_max"])
     if res.stop != "sonic":
         x, rho, summary = res.x, res.rho, {"alpha": None, "stop": res.stop}
     else:

@@ -156,7 +156,7 @@ def test_criterion_5_singularity_exponent():
     eos = EquationOfState.shallow_water(1.0)
     reg = Regularizer.cubic(0.1)
     fluxes = SteadyFluxes(1.0, 1.25, 0.5)  # sonic density 1, N(1) = -1/2
-    profile = bl.integrate_steady_profile(fluxes, eos, reg, rho_start=1.3, direction=-1)
+    profile = bl.integrate_steady_profile(fluxes, eos, reg, rho_start=1.3)
     x, rho, x0, rho_s = bl.cusp_profile(profile, fluxes, eos, reg, n=4097)
     fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
     predicted = bl.cusp_amplitude_prediction(fluxes, eos, reg, rho_s)

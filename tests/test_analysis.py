@@ -139,7 +139,7 @@ class TestSteadyOde:
 class TestProfileIntegration:
     def test_equilibrium_start_gives_constant_profile(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(*bl.equilibrium_fluxes(2.0, 1.0, sw_eos))
-        res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 2.0, 1)
+        res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 2.0)
         assert res.stop == "equilibrium"
         assert np.all(res.rho == 2.0)
 
@@ -148,7 +148,7 @@ class TestProfileIntegration:
         # N > 0 and D > 0 fails on rho < 1 here: squared slope < 0
         assert bl.steady_ode_rhs(0.8, fx, sw_eos, cubic_reg) < 0
         with pytest.raises(DomainError):
-            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 0.8, 1)
+            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 0.8)
 
     @pytest.mark.parametrize("rho_start, message", [
         (0.8, "negative"), (1.0, "not finite"), (1e200, "not finite"), (-1.0, "vacuum"),
@@ -170,27 +170,22 @@ class TestProfileIntegration:
             fx = SteadyFluxes(*bl.equilibrium_fluxes(rho, u, sw_eos))
             assert check_steady_start(fx, sw_eos, cubic_reg, rho) is True
 
-    def test_direction_must_be_a_sign(self, sw_eos, cubic_reg):
-        fx = SteadyFluxes(1.0, 1.25, 0.5)
-        with pytest.raises(DomainError, match="direction must be"):
-            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, 0)
-
     @pytest.mark.parametrize("x_max", [0.0, -1.0, float("nan")])
     def test_x_max_must_be_positive(self, sw_eos, cubic_reg, x_max):
         fx = SteadyFluxes(1.0, 1.25, 0.5)
         with pytest.raises(DomainError, match="x_max must be"):
-            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1, x_max=x_max)
+            bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, x_max=x_max)
 
     def test_stops_at_sonic_point(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(1.0, 1.25, 0.5)
-        res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1)
+        res = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3)
         assert res.stop == "sonic"
         assert res.rho[-1] == pytest.approx(1.0, abs=5e-3)
         assert np.all(np.diff(res.rho) <= 0)
 
     def test_cusp_profile_two_thirds_exponent(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(1.0, 1.25, 0.5)
-        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3, -1)
+        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.3)
         x, rho, x0, rho_s = bl.cusp_profile(profile, fx, sw_eos, cubic_reg, n=2049)
         fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
         assert fit.alpha == pytest.approx(2.0 / 3.0, abs=0.05)
@@ -200,12 +195,34 @@ class TestProfileIntegration:
         assert fit.rho_amp_right == pytest.approx(predicted, rel=0.05)
 
     def test_cusp_amplitude_needs_a_real_root(self, sw_eos, cubic_reg):
-        with pytest.raises(DomainError, match="no real cusp amplitude"):
-            bl.cusp_amplitude_prediction(SteadyFluxes(1.0, 0.0, 0.0), sw_eos, cubic_reg, 1.0)
+        # N(1) = 1 - 2 S = 0 here, so the amplitude's cube is 0
+        with pytest.raises(DomainError, match="no finite nonzero cusp amplitude"):
+            bl.cusp_amplitude_prediction(SteadyFluxes(1.0, 0.5, 0.0), sw_eos, cubic_reg, 1.0)
+        # N(1) = 1 > 0: a cusp reached from below, with a negative amplitude
+        amp = bl.cusp_amplitude_prediction(SteadyFluxes(1.0, 0.0, 0.0), sw_eos, cubic_reg, 1.0)
+        assert amp == pytest.approx(-1.9574, abs=1e-4)
+
+    def test_cusp_from_below_approaches_its_predicted_amplitude(self, cubic_reg):
+        eos = EquationOfState.isentropic(2.0)
+        fx = SteadyFluxes(1.6, 0.6, 0.4)  # sonic density 1.0858, above rho_start
+        profile = bl.integrate_steady_profile(fx, eos, cubic_reg, 0.7)
+        assert profile.stop == "sonic"
+        assert np.all(np.diff(profile.rho) >= 0)
+        x, rho, x0, rho_s = bl.cusp_profile(profile, fx, eos, cubic_reg, n=4097)
+        assert np.all(rho <= rho_s) and rho[2048] == rho_s and x[2048] == x0
+        predicted = bl.cusp_amplitude_prediction(fx, eos, cubic_reg, rho_s)
+        assert predicted < 0.0
+        # the fit reads |rho - rho_s|; a narrower window brings it toward |a|
+        errs = []
+        for outer in (1e-2, 3e-3, 1e-3):
+            fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s, outer=outer)
+            assert fit.alpha == pytest.approx(2.0 / 3.0, abs=0.05)
+            errs.append(abs(fit.rho_amp_left + predicted) / -predicted)
+        assert errs[0] > errs[1] > errs[2]
 
     def test_cusp_profile_needs_a_sonic_stop(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(0.5, 0.25, 0.0625)
-        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.5, -1)
+        profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.5)
         assert profile.stop == "turning"
         with pytest.raises(DomainError):
             bl.cusp_profile(profile, fx, sw_eos, cubic_reg)

@@ -17,6 +17,10 @@ from barolab.experiments import read_snapshot, resolve_output_dir, run_experimen
 from barolab.grid import BOUNDARY_TOL
 from conftest import child_env
 
+# a steady profile that starts below its sonic density, on the default law and regularizer
+STEADY_BELOW = ("[experiment]\nkind = steady_profile\n[study]\nmass_flux = 1.6\n"
+                "momentum_flux = 0.6\nenergy_flux = 0.4\nrho_start = 0.7\n")
+
 MINIMAL_RBE = """
 [experiment]
 kind = rbe_run
@@ -679,12 +683,31 @@ class TestCli:
         assert err.value.problems == [
             "[study] amplitude must be < [eos] rho_bar for dispersion_study"]
 
-    def test_steady_profile_that_reaches_vacuum_is_a_run_failure(self, tmp_path, capsys):
-        # the start is admissible, so validate accepts it; the profile then leaves the
-        # admissible densities, which is a failed run (exit 2), not a bad config
+    def test_steady_profile_below_the_sonic_density_reaches_its_cusp(self, tmp_path, capsys):
+        # rho_start lies below the sonic density 1.0858, so the density rises to its cusp
+        path = tmp_path / "below.cfg"
+        path.write_text(STEADY_BELOW)
+        assert cli.main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        fit = json.loads((out / "fit.json").read_text())
+        assert len((out / "profile.csv").read_text().splitlines()) == 1 + 4097
+        assert summary["sonic_density"] > 0.7
+        assert abs(summary["alpha"] - 2.0 / 3.0) <= 0.05
+        assert summary["predicted_amplitude"] < 0.0 < fit["rho_amp_left"]
+
+    def test_steady_profile_that_reaches_vacuum_is_a_run_failure(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the start is admissible, so validate accepts it; a profile that then leaves the
+        # admissible densities is a failed run (exit 2), not a bad config
+        def vacuum(*args, **kwargs):
+            raise bl.VacuumError("density reached vacuum")
+
+        monkeypatch.setattr(analysis, "integrate_steady_profile", vacuum)
         path = tmp_path / "vacuum.cfg"
-        path.write_text("[experiment]\nkind = steady_profile\n[study]\nmass_flux = 1.6\n"
-                        "momentum_flux = 0.6\nenergy_flux = 0.4\nrho_start = 0.7\n")
+        path.write_text(STEADY_BELOW)
         assert cli.main(["validate", str(path)]) == 0
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--output", str(out)]) == 2
@@ -1142,8 +1165,19 @@ class TestCli:
 
     def test_override_adds_a_missing_section(self):
         assert "[output]" not in MINIMAL_RBE
-        text = cli._override_config_text(MINIMAL_RBE, "output.directory", "elsewhere")
-        assert parse_config(text).output_directory == "elsewhere"
+        config = cli._member_config(MINIMAL_RBE, "output.directory", "elsewhere")
+        assert config.output_directory == "elsewhere"
+
+    def test_sweep_takes_each_value_literally(self, tmp_path, capsys):
+        # each value is taken as written, so its "#" starts no inline comment
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL_RBE.replace("t_end = 0.05", "t_end = 0.01"))
+        code = cli.main(["sweep", str(cfg), "--param", "regularizer.epsilon",
+                         "--values", "0.1 #x,0.2", "--output", str(tmp_path / "sw")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[regularizer] epsilon: cannot parse '0.1 #x' as float" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_sweep_param_must_name_a_section_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -132,12 +132,13 @@ def test_fuzz_table_covers_the_schema():
     assert _ALWAYS | _NO_TOKEN <= {(s, k) for s, keys in _PLAUSIBLE.items() for k in keys}
 
 
-# The explicit examples: a steady profile that reaches vacuum, one too short to
-# fit, a dispersion wave that reaches vacuum, two periodic spacings and a line
-# spacing whose squares leave the doubles; then eps = 0, eps = 1 and a density
-# contrast of 1e3; then two laws whose constants overflow, an isothermal
-# steady profile whose sonic density is tiny, and a dispersion study at slow
-# sound (c0 = 0.01), whose long periods take the same steps as at any c0.
+# The explicit examples: a steady profile that rises from below its sonic
+# density to its cusp, one too short to fit, a dispersion wave that reaches
+# vacuum, two periodic spacings and a line spacing whose squares leave the
+# doubles; then eps = 0, eps = 1 and a density contrast of 1e3; then two laws
+# whose constants overflow, an isothermal steady profile whose sonic density
+# is tiny, and a dispersion study at slow sound (c0 = 0.01), whose long
+# periods take the same steps as at any c0.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=configs(), absolute=st.booleans())
 @example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
