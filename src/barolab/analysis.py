@@ -200,6 +200,8 @@ def integrate_steady_profile(fluxes, eos, reg, rho_start, x_max=10.0):
     direction = 1 if d0 > 0.0 else -1  # the start rule has rejected D = 0
 
     def drho_dx(x, y):
+        if not y[0] > 0.0:  # a trial stage below vacuum: NaN makes RK45 reject the step
+            return [np.nan]
         val = steady_ode_rhs(float(y[0]), fluxes, eos, reg)
         return [direction * np.sqrt(max(val, 0.0))]
 

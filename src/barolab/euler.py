@@ -187,7 +187,7 @@ def _source(rho, ux, rx, reg, eos, *work):
 @functools.lru_cache(maxsize=2)
 def _workspace(n):
     """The stage workspace shared by every grid of ``n`` cells, made on its first stage:
-    the operator's ``(ghost, faces, cells)`` of :func:`~barolab.sturm_liouville._buffers`
+    the operator's ``(faces, cells)`` of :func:`~barolab.sturm_liouville._buffers`
     and three rows of n cells that are the stage's own.  Only the two most recent sizes
     keep theirs.
     """
@@ -199,14 +199,14 @@ def rhs(state, reg, eos):
 
     Every other n-sized array of the stage lives in the workspace of the grid's size.
     The stage's own rows hold ``u_x`` and then the solve's result (row 0), ``rho u``,
-    ``P`` and then ``psi`` (row 1), and ``A'``, which becomes ``kappa`` (row 2).  Until
-    it assembles the operator, the stage uses the operator's cells as scratch: cells
-    0-2 for the other slots of :func:`~barolab.regularizer._composite`, cell 3 for
-    ``dP/dx`` and then ``rho_x``.
+    ``P`` and then ``psi`` (row 1), and ``A'``, which becomes ``kappa`` (row 2) and is
+    read there, in place, by the operator.  Until it assembles the operator, the stage
+    uses the operator's cells as scratch: cells 0-2 for the other slots of
+    :func:`~barolab.regularizer._composite`, cell 3 for ``dP/dx`` and then ``rho_x``.
     """
     grid = state.grid
     rho, u = state.rho, state.u
-    (ghost, faces, cells), own = _workspace(grid.n)
+    (faces, cells), own = _workspace(grid.n)
     ux = grid.ddx(u, far=grid.u_far, out=own[0])
     drho = grid.ddx(np.multiply(rho, u, out=own[1]), far=grid._far(mul),
                     out=np.empty(grid.n))
@@ -223,7 +223,7 @@ def rhs(state, reg, eos):
         rx = grid.ddx(rho, far=grid.rho_far, out=cells[3])
         psi, da = _source(rho, ux, rx, reg, eos, own[1], own[2], *cells[:3])
         kappa = np.multiply(rho, da, out=da)
-        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (ghost, faces, cells))
+        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (faces, cells))
         smoothed = system.solve_dx(psi, out=own[0])
         smoothed *= reg.epsilon
         du -= smoothed

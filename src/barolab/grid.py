@@ -108,9 +108,9 @@ class Grid:
             return f[0], f[-1]
         return float(far[0]), float(far[1])
 
-    def _pad(self, f, far=None, out=None):
-        """``f`` with its ghost value on either side, as every stencil sees it."""
-        padded = np.empty(self.n + 2) if out is None else out
+    def _pad(self, f, far=None):
+        """``f`` with its ghost value on either side, a fresh array of n + 2."""
+        padded = np.empty(self.n + 2)
         padded[0], padded[-1] = self._ghosts(f, far)
         padded[1:-1] = f
         return padded

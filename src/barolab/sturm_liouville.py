@@ -21,13 +21,18 @@ does, so it holds on fine grids and still catches a factorization that
 silently degraded, or a NaN or Inf in the data.
 
 The two kernels are the Fortran wrappers that ``scipy.linalg.lapack`` re-exports,
-taken from SciPy's compiled extension ``scipy.linalg._flapack``, which
-:func:`_load_flapack` loads by itself.  Importing them from ``scipy.linalg.lapack``
-would run the whole ``scipy.linalg`` package import, which pulls in ``numpy.f2py``,
-``numpy.testing`` and more.  On a 2-vCPU x86-64 host (Python 3.11, SciPy 1.17) a
-fresh interpreter that imports ``barolab.cli`` then took 200 ms and 60 MB of peak
-memory, against 110 ms and 33.5 MB this way, for the same functions and so the
-same bits.
+taken from SciPy's compiled extension ``scipy.linalg._flapack`` alone.  Importing them
+from ``scipy.linalg.lapack`` would run the whole ``scipy.linalg`` package import,
+which pulls in ``numpy.f2py``, ``numpy.testing`` and more.  The extension is located
+when this module is imported (:func:`_locate_flapack`, so a SciPy without it fails
+there) and loaded when an operator is first factorized (:func:`_load_flapack`), so a
+process that never factors one (a Hunter-Saxton run, ``barolab validate``) never
+loads LAPACK or the OpenBLAS it links.  On a 2-vCPU x86-64 host (Python 3.11,
+SciPy 1.17) a fresh interpreter that imports ``barolab.cli`` took 200 ms and 60 MB
+of peak memory through ``scipy.linalg``, and 110 ms and 33.5 MB with the extension
+loaded at import; with the load deferred, ``python tools/layers.py`` read 163 ms and
+30.1 MB in a busier session that read 211 ms and 32.9 MB for loading at import.
+The functions, and so the bits, are the same.
 
 ``SLSystem(grid, rho, reg)`` applies the density rule once, takes ``A'`` from
 the regularizer's unchecked kernel ``_slopes``, and hands ``kappa`` to the private
@@ -37,11 +42,13 @@ so there is one assembly path and every solve runs the full backward-error guard
 
 That path factors in place (``dpttrf`` and ``dpttrs`` with their overwrite
 flags) in the buffers that :func:`_buffers` lists, and the guard forms its
-residual there too.  A public ``SLSystem(...)`` owns its buffers and shares none;
-only the operator of a stage works in buffers it shares, those of the stage
-workspace of :mod:`barolab.euler`, and it lives only as long as that stage.  No
-buffer escapes a call: ``solve``, ``solve_dx`` and ``apply`` return a fresh array
-owned by the caller unless the caller passes ``out``.
+residual there too.  Assembly reads ``kappa``, and ``apply`` its vector, in place,
+with the grid's ghost values past the edges, so no padded copy is made.  A public
+``SLSystem(...)`` owns its buffers and shares none; only the operator of a stage
+works in buffers it shares, those of the stage workspace of :mod:`barolab.euler`,
+and it lives only as long as that stage.  No buffer escapes a call: ``solve``,
+``solve_dx`` and ``apply`` return a fresh array owned by the caller unless the
+caller passes ``out``.
 
 Three derived operations are provided on top of the inverse:
 
@@ -76,17 +83,13 @@ KERNEL_TRUNCATION = 40.0  # e-folding widths; exp(-40) is below double noise
 FLAPACK = "scipy.linalg._flapack"
 
 
-def _load_flapack():
-    """SciPy's compiled LAPACK wrappers, the extension module :data:`FLAPACK`.
+def _locate_flapack():
+    """The import spec of SciPy's compiled LAPACK wrappers, the extension module :data:`FLAPACK`.
 
-    The module in ``sys.modules`` if there is one; else the extension in SciPy's
-    ``linalg`` directory, loaded without running ``scipy/__init__`` or
-    ``scipy/linalg/__init__`` and then registered under its own name, so that a
-    later ``import scipy.linalg`` uses this same module.  ImportError, naming the
-    directories searched, if it is not there.
+    It is looked for in SciPy's ``linalg`` directory without running ``scipy/__init__``
+    or ``scipy/linalg/__init__``; ImportError, naming the directories searched, if it
+    is not there.
     """
-    if FLAPACK in sys.modules:
-        return sys.modules[FLAPACK]
     scipy = importlib.util.find_spec("scipy")  # finds the package without running it
     roots = scipy.submodule_search_locations if scipy else ()
     linalg = [os.path.join(root, "linalg") for root in roots]
@@ -94,20 +97,28 @@ def _load_flapack():
     if spec is None:
         raise ImportError(f"no {FLAPACK} extension in {linalg or 'any scipy package'}",
                           name=FLAPACK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[FLAPACK] = module
+    return spec
+
+
+_FLAPACK_SPEC = _locate_flapack()
+
+
+def _load_flapack():
+    """The extension module :data:`FLAPACK`: the one in ``sys.modules`` if there is one,
+    else the located extension, executed and registered under its own name, so that a
+    later ``import scipy.linalg`` uses this same module."""
+    module = sys.modules.get(FLAPACK)
+    if module is None:
+        module = importlib.util.module_from_spec(_FLAPACK_SPEC)
+        _FLAPACK_SPEC.loader.exec_module(module)
+        sys.modules[FLAPACK] = module
     return module
 
 
-_flapack = _load_flapack()
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
-
-
 def _buffers(n):
-    """``(ghost, faces, cells)``, what an operator on ``n`` cells works in: float buffers of
-    n + 2, 2 rows of n + 1 and 5 rows of n."""
-    return np.empty(n + 2), np.empty((2, n + 1)), np.empty((5, n))
+    """``(faces, cells)``, what an operator on ``n`` cells works in: float buffers of
+    2 rows of n + 1 and 5 rows of n."""
+    return np.empty((2, n + 1)), np.empty((5, n))
 
 
 class SLSystem:
@@ -136,7 +147,8 @@ class SLSystem:
         """Assembly and factorization, the one path of :meth:`__init__` and :meth:`_assembled`.
 
         The operator keeps ``k_face``, ``d``, ``e`` and ``T^{-1} w`` in ``buffers`` and uses
-        the others as scratch: the ghost buffer, a flux row and two cells.
+        the others as scratch: a flux row and two cells.  The process's first factorization
+        loads :data:`FLAPACK` (:func:`_load_flapack`); the operator calls its kernels.
         """
         self.kappa = kappa
         self.grid = grid
@@ -144,10 +156,12 @@ class SLSystem:
         self.eps = float(eps)
         c = 2.0 * self.eps / grid.dx**2
         self._c = c
-        self._ghost, (k_face, self._flux), (d, e, w, self._scratch, self._dpsi) = buffers
-        # k_face[j] couples cells j-1 and j
-        padded = grid._pad(self.kappa, out=self._ghost)
-        k_face = np.add(padded[:-1], padded[1:], out=k_face)
+        (k_face, self._flux), (d, e, w, self._scratch, self._dpsi) = buffers
+        # k_face[j] couples cells j-1 and j, with the grid's ghosts of kappa past the edges
+        left, right = grid._ghosts(kappa, None)
+        k_face[0] = left + kappa[0]
+        np.add(kappa[:-1], kappa[1:], out=k_face[1:-1])
+        k_face[-1] = kappa[-1] + right
         k_face *= 0.5
         # entry (0, n-1) of the cyclic matrix; a line grid has none
         self._corner = -c * k_face[0] if grid.is_periodic else 0.0
@@ -161,30 +175,33 @@ class SLSystem:
         d[0] -= self._corner
         d[-1] -= self._corner
         e = np.multiply(k_face[1:-1], -c, out=e[:-1])
-        self._d, self._e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        self._lapack = _load_flapack()
+        self._d, self._e, info = self._lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info > 0:
             raise NumericalBreakdownError(
                 f"operator factorization failed: leading minor {info} is not positive")
         if self._corner != 0.0:
             w[:] = 0.0
             w[0] = w[-1] = 1.0
-            self._tinv_w = dpttrs(self._d, self._e, w, overwrite_b=1)[0]
+            self._tinv_w = self._lapack.dpttrs(self._d, self._e, w, overwrite_b=1)[0]
             self._sm_denom = 1.0 + self._corner * (self._tinv_w[0] + self._tinv_w[-1])
 
     # -- matrix action -------------------------------------------------------
 
     def apply(self, u, far=None, out=None):
         """Matrix-vector product ``L u`` (ghost values from ``far`` on line grids),
-        written into ``out`` when given, which may be ``u``."""
+        written into ``out`` when given, which must not be ``u``."""
         u = np.asarray(u, dtype=float)
-        padded = self.grid._pad(u, far, out=self._ghost)
-        flux = np.subtract(padded[1:], padded[:-1], out=self._flux)
+        left, right = self.grid._ghosts(u, far)
+        flux = self._flux
+        flux[0] = u[0] - left
+        np.subtract(u[1:], u[:-1], out=flux[1:-1])
+        flux[-1] = right - u[-1]
         flux *= self._k_face
         lu = np.subtract(flux[1:], flux[:-1], out=out)
         lu *= self._c
-        # rho u - c (flux_{i+1/2} - flux_{i-1/2}); rho u takes the flux row, now read,
-        # from the padded copy of u, so that out may be u itself
-        return np.subtract(np.multiply(self.rho, padded[1:-1], out=flux[:-1]), lu, out=lu)
+        # rho u - c (flux_{i+1/2} - flux_{i-1/2}); rho u takes the flux row, now read
+        return np.subtract(np.multiply(self.rho, u, out=flux[:-1]), lu, out=lu)
 
     def solve(self, f, far=None, out=None):
         """Direct solve of ``L u = f`` with an enforced backward-error bound.
@@ -202,7 +219,7 @@ class SLSystem:
             u[0] += self._c * self._k_face[0] * far[0]
             u[-1] += self._c * self._k_face[-1] * far[1]
         # dpttrs's info flags only a malformed argument; the guard checks u
-        u = dpttrs(self._d, self._e, u, overwrite_b=1)[0]
+        u = self._lapack.dpttrs(self._d, self._e, u, overwrite_b=1)[0]
         if self._corner != 0.0:
             wu = u[0] + u[-1]
             u -= np.multiply(self._corner * wu / self._sm_denom, self._tinv_w,

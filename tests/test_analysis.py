@@ -220,6 +220,18 @@ class TestProfileIntegration:
             errs.append(abs(fit.rho_amp_left + predicted) / -predicted)
         assert errs[0] > errs[1] > errs[2]
 
+    def test_a_trial_stage_below_vacuum_shrinks_the_step(self):
+        # a start just below a sonic density of 13.677 that an RK45 trial stage
+        # overshoots to a negative density; the step is rejected, not the profile
+        eos = EquationOfState.isentropic(0.5)
+        reg = Regularizer.inverse(0.1, 1.0)
+        fx = SteadyFluxes(-5.029026359733327, 11.129475409613013, -12.912444260980173)
+        profile = bl.integrate_steady_profile(fx, eos, reg, 13.359469658036652)
+        assert profile.stop == "sonic"
+        x, rho, x0, rho_s = bl.cusp_profile(profile, fx, eos, reg)
+        fit = bl.fit_singularity_exponent(x, rho, x0, rho_ref=rho_s)
+        assert fit.alpha == pytest.approx(2.0 / 3.0, abs=0.05)
+
     def test_cusp_profile_needs_a_sonic_stop(self, sw_eos, cubic_reg):
         fx = SteadyFluxes(0.5, 0.25, 0.0625)
         profile = bl.integrate_steady_profile(fx, sw_eos, cubic_reg, 1.5)

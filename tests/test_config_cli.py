@@ -853,11 +853,32 @@ class TestCli:
 
     def test_cli_import_and_validate_leave_scipy_linalg_unloaded(self, tmp_path):
         # the operator's two LAPACK kernels come from SciPy's extension module alone,
-        # so neither start-up nor a validate pays for the scipy.linalg package
-        assert loaded_by_cli_import(tmp_path, "scipy.linalg") == []
+        # loaded at the first factorization, so neither start-up nor a validate pays
+        # for the scipy.linalg package or for LAPACK
+        linalg = ("scipy.linalg", "scipy.linalg._flapack")
+        assert loaded_by_cli_import(tmp_path, *linalg) == []
         config = str(CONFIGS / "rbe_periodic_cubic.cfg")
         validate = f"assert barolab.cli.main(['validate', {config!r}]) == 0"
-        assert loaded_by_cli_import(tmp_path, "scipy.linalg", then=validate) == []
+        assert loaded_by_cli_import(tmp_path, *linalg, then=validate) == []
+
+    def test_only_the_first_factorization_loads_lapack(self, tmp_path):
+        # a Hunter-Saxton run never factors the operator; one Euler stage does
+        flapack = sturm_liouville.FLAPACK
+        config, out = str(CONFIGS / "ghs_periodic.cfg"), str(tmp_path / "ghs")
+        run = f"assert barolab.cli.main(['run', {config!r}, '--output', {out!r}]) == 0"
+        assert loaded_by_cli_import(tmp_path, flapack, then=run) == []
+        assert (tmp_path / "ghs" / "summary.json").exists()
+        stage = ("import barolab as bl; g = bl.Grid.periodic(1.0, 64); "
+                 "bl.rhs(bl.State(0.0, 1.0 + 0.0 * g.x, 0.0 * g.x, g), "
+                 "bl.Regularizer.cubic(0.1), bl.EquationOfState.shallow_water(1.0))")
+        assert loaded_by_cli_import(tmp_path, flapack, then=stage) == [flapack]
+
+    def test_cpus_without_affinity_counts_the_machine(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert cli._cpus() == 1
 
     def test_cli_import_leaves_the_pool_unloaded(self, tmp_path):
         # only a sweep that runs its pool imports it, so no other command pays for it

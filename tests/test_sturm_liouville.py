@@ -326,27 +326,34 @@ class TestInverseFamilyConvolution:
 KERNEL_PROBE = """
 import sys
 import numpy as np
+import barolab as bl
 from barolab import sturm_liouville as sl
+
+g = bl.Grid.periodic(1.0, 16)
+system = bl.SLSystem(g, 1.0 + 0.5 * np.sin(2 * np.pi * g.x), bl.Regularizer.cubic(0.1))
+flapack = system._lapack  # what the first factorization loaded, or found loaded
+# imported after the factorization, so that after "import barolab" barolab loads it first
 from scipy.linalg import lapack
 
 # one instance of the extension, and barolab's kernels are its own
-assert [k for k, m in sys.modules.items() if m is sl._flapack] == [sl.FLAPACK]
-assert lapack._flapack is sl._flapack
-assert sl.dpttrf is sl._flapack.dpttrf and sl.dpttrs is sl._flapack.dpttrs
+assert sl._load_flapack() is flapack
+assert [k for k, m in sys.modules.items() if m is flapack] == [sl.FLAPACK]
+assert lapack._flapack is flapack
+assert lapack.dpttrf is flapack.dpttrf and lapack.dpttrs is flapack.dpttrs
 
 rng = np.random.default_rng(5)
 d = 2.0 + rng.random(200)
 e = rng.random(199) - 0.5  # diagonally dominant, so SPD
 b = rng.standard_normal((200, 3))
-ours, theirs = sl.dpttrf(d.copy(), e.copy()), lapack.dpttrf(d.copy(), e.copy())
+ours, theirs = flapack.dpttrf(d.copy(), e.copy()), lapack.dpttrf(d.copy(), e.copy())
 assert ours[2] == theirs[2] == 0
 assert all(x.tobytes() == y.tobytes() for x, y in zip(ours[:2], theirs[:2]))
-x = sl.dpttrs(*ours[:2], b)[0]
+x = flapack.dpttrs(*ours[:2], b)[0]
 assert x.tobytes() == lapack.dpttrs(*theirs[:2], b)[0].tobytes()
 assert np.allclose((np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ x, b)
 
 d[57] = -1.0  # the leading minor of order 58 is not positive
-assert sl.dpttrf(d.copy(), e.copy())[2] == lapack.dpttrf(d.copy(), e.copy())[2] == 58
+assert flapack.dpttrf(d.copy(), e.copy())[2] == lapack.dpttrf(d.copy(), e.copy())[2] == 58
 """
 
 
@@ -358,9 +365,9 @@ class TestLapackKernels:
         assert result.returncode == 0, result.stderr
 
     def test_missing_extension_names_the_directory_searched(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, sturm_liouville.FLAPACK)
+        # the extension is located at import, loaded or not, so a SciPy without it fails there
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             staticmethod(lambda name, path=None, target=None: None))
         with pytest.raises(ImportError, match=r"_flapack extension in \[.*linalg'\]") as err:
-            sturm_liouville._load_flapack()
+            sturm_liouville._locate_flapack()
         assert err.value.name == sturm_liouville.FLAPACK
