@@ -8,7 +8,6 @@ from .analysis import (
     SteadyFluxes,
     cusp_amplitude_prediction,
     cusp_profile,
-    equilibrium_fluxes,
     fit_singularity_exponent,
     integrate_steady_profile,
     measured_phase_speed,

@@ -88,16 +88,6 @@ def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):
 
 # -- steady motions -----------------------------------------------------------
 
-def equilibrium_fluxes(rho, u, eos):
-    """Mass, momentum and energy fluxes ``(I, S, F)`` of a constant state."""
-    v = float(eos.potential(rho))
-    v1 = float(eos.enthalpy(rho))
-    mass = rho * u
-    momentum = rho * u**2 + rho * v1 - v
-    energy = 0.5 * rho * u**3 + rho * v1 * u
-    return mass, momentum, energy
-
-
 @dataclass(frozen=True)
 class SteadyFluxes:
     """The constant fluxes ``(I, S, F)`` of a steady motion: mass ``I = rho u``,

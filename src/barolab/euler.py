@@ -56,12 +56,12 @@ source ``-eps L^{-1} d/dx psi`` of the Euler velocity equation becomes
     rho_t + (rho u)_x = 0
     u_t + u u_x + enthalpy_x = D^{-1}{ (c_u u_x^2 + c_rho rho_x^2) / (2 rho A') }
 
-with ``D^{-1}`` the antiderivative anchored at x = 0, integrated on periodic grids
-by the same RK4 step and run loop.  Exact periodic solutions have a zero-mean
-source -- the source equals an exact x-derivative of a periodic quantity -- so the
-discrete source is projected to zero mean before integrating; without the
-projection the discretization error would feed a secular,
-periodicity-breaking ramp into the velocity.
+with ``D^{-1}`` the antiderivative from 0 at the first node, which is x = 0 on a
+periodic grid, integrated on periodic grids by the same RK4 step and run loop.
+Exact periodic solutions have a zero-mean source -- the source equals an exact
+x-derivative of a periodic quantity -- so the discrete source is projected to zero
+mean before integrating; without the projection the discretization error would
+feed a secular, periodicity-breaking ramp into the velocity.
 
 Replacing ``A`` by ``-A`` leaves the Hunter-Saxton right-hand side bitwise
 unchanged: ``c_u``, ``c_rho`` and ``2 rho A'`` are each linear in ``(A', A'')``,
@@ -290,8 +290,9 @@ def diagnostics(state, reg, eos):
 
 
 def _before_end(t, t_end):
-    """Whether a run at time ``t`` has not yet reached ``t_end`` (up to roundoff)."""
-    return t < t_end - 1e-14 * max(1.0, abs(t_end))
+    """Whether a run at time ``t`` has not yet reached ``t_end`` (up to a roundoff
+    relative to ``t_end``, so that a run of any length takes its steps)."""
+    return t < t_end - 1e-14 * abs(t_end)
 
 
 DIAGNOSTICS_HEADER = "t,dt,mass,momentum,energy,sup_Wx"  # the columns of a series row
@@ -412,18 +413,16 @@ def rusanov_rhs(state, eos):
 
     Works on the conservative pair ``(rho, q = rho u)``; periodic grids only.
     """
-    pad = state.grid._pad
     rho, u = state.rho, state.u
     q = rho * u
     f_q = q * u + eos._pressure(rho)
-    a = pad(np.abs(u) + eos._sound_speed(rho))
-    rho_p, q_p, fq_p = pad(rho), pad(q), pad(f_q)
-    # face j lies between cells j-1 and j
-    a_face = np.maximum(a[:-1], a[1:])
-    flux_rho = 0.5 * (q_p[:-1] + q_p[1:]) - 0.5 * a_face * (rho_p[1:] - rho_p[:-1])
-    flux_q = 0.5 * (fq_p[:-1] + fq_p[1:]) - 0.5 * a_face * (q_p[1:] - q_p[:-1])
-    drho = -(flux_rho[1:] - flux_rho[:-1]) / state.grid.dx
-    dq = -(flux_q[1:] - flux_q[:-1]) / state.grid.dx
+    a = np.abs(u) + eos._sound_speed(rho)
+    # face j lies between cells j and j + 1, wrapped
+    a_face = np.maximum(a, np.roll(a, -1))
+    flux_rho = 0.5 * (q + np.roll(q, -1)) - 0.5 * a_face * (np.roll(rho, -1) - rho)
+    flux_q = 0.5 * (f_q + np.roll(f_q, -1)) - 0.5 * a_face * (np.roll(q, -1) - q)
+    drho = -(flux_rho - np.roll(flux_rho, 1)) / state.grid.dx
+    dq = -(flux_q - np.roll(flux_q, 1)) / state.grid.dx
     return drho, dq
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
 import os
 import stat
 import time
@@ -201,10 +202,13 @@ def run_experiment(config, output_dir=None):
 
 
 def _drift(series, column):
-    """Relative change of a column; None when it starts at 0 and moves (undefined)."""
-    first, last = series[0][column], series[-1][column]
+    """Relative change of a column; None (JSON null) where it is undefined: the column
+    starts at 0 and moves, or the change is not finite (an end value overflowed).
+    Python floats, so that a non-finite change raises no numpy warning."""
+    first, last = float(series[0][column]), float(series[-1][column])
     if abs(first) > 1e-12:
-        return abs(last - first) / abs(first)
+        drift = abs(last - first) / abs(first)
+        return drift if math.isfinite(drift) else None
     return 0.0 if last == first else None
 
 

@@ -4,7 +4,7 @@ A field is a plain ``numpy`` array of ``n`` samples attached to a :class:`Grid`.
 Nodes sit at ``x_i = x_min + i*dx`` (``i = 0 .. n-1``); a periodic grid covers
 ``[0, L)`` and a line grid covers ``[x_min, x_max)`` together with constant
 far-field values that extend every field past the edges.  The grid alone
-decides how a field continues past its edges (``_ghosts``, ``_pad``, ``_far``).
+decides how a field continues past its edges (``_ghosts``, ``_far``).
 
 All stencils are second-order centred: the regularized systems integrated on
 these grids are non-dispersive and smooth up to blow-up, so a uniform O(dx^2)
@@ -54,7 +54,6 @@ class Grid:
     rho_far: tuple[float, float] | None = None
     u_far: tuple[float, float] | None = None
     x: np.ndarray = field(init=False, repr=False)
-    _anchor: int = field(init=False, repr=False)  # the node nearest x = 0
 
     def __post_init__(self):
         periodic = self.is_periodic
@@ -76,7 +75,6 @@ class Grid:
              "u_left and u_right must be finite"),
         )
         object.__setattr__(self, "x", self.x_min + self.dx * np.arange(self.n))
-        object.__setattr__(self, "_anchor", int(np.argmin(np.abs(self.x))))
 
     # n is checked in __post_init__; max(n, 1) only keeps dx defined until then
 
@@ -107,13 +105,6 @@ class Grid:
         if far is None:
             return f[0], f[-1]
         return float(far[0]), float(far[1])
-
-    def _pad(self, f, far=None):
-        """``f`` with its ghost value on either side, a fresh array of n + 2."""
-        padded = np.empty(self.n + 2)
-        padded[0], padded[-1] = self._ghosts(f, far)
-        padded[1:-1] = f
-        return padded
 
     def _far(self, value):
         """``value(rho, u)`` at the two far states, or None on a periodic grid."""
@@ -156,13 +147,11 @@ class Grid:
         return f.sum() * self.dx
 
     def antiderivative(self, f):
-        """Cumulative trapezoid anchored to 0 at the grid point nearest ``x = 0``."""
+        """Cumulative trapezoid from 0 at the first node, ``x = 0`` on a periodic grid."""
         f = np.asarray(f, dtype=float)
         out = np.empty_like(f)
         out[0] = 0.0
         np.cumsum(0.5 * (f[1:] + f[:-1]) * self.dx, out=out[1:])
-        if self._anchor:
-            out -= out[self._anchor]
         return out
 
     def check_boundary(self, f, far, label="field"):

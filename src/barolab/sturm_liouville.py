@@ -27,12 +27,7 @@ which pulls in ``numpy.f2py``, ``numpy.testing`` and more.  The extension is loc
 when this module is imported (:func:`_locate_flapack`, so a SciPy without it fails
 there) and loaded when an operator is first factorized (:func:`_load_flapack`), so a
 process that never factors one (a Hunter-Saxton run, ``barolab validate``) never
-loads LAPACK or the OpenBLAS it links.  On a 2-vCPU x86-64 host (Python 3.11,
-SciPy 1.17) a fresh interpreter that imports ``barolab.cli`` took 200 ms and 60 MB
-of peak memory through ``scipy.linalg``, and 110 ms and 33.5 MB with the extension
-loaded at import; with the load deferred, ``python tools/layers.py`` read 163 ms and
-30.1 MB in a busier session that read 211 ms and 32.9 MB for loading at import.
-The functions, and so the bits, are the same.
+loads LAPACK or the OpenBLAS it links.  The functions, and so the bits, are the same.
 
 ``SLSystem(grid, rho, reg)`` applies the density rule once, takes ``A'`` from
 the regularizer's unchecked kernel ``_slopes``, and hands ``kappa`` to the private

@@ -13,7 +13,7 @@ import pytest
 import barolab as bl
 from barolab import BoundaryContaminationWarning, ConfigError, analysis, cli, sturm_liouville
 from barolab.config import _SCHEMA, build_grid, build_initial, parse_config, read_ini
-from barolab.experiments import read_snapshot, resolve_output_dir, run_experiment
+from barolab.experiments import _drift, read_snapshot, resolve_output_dir, run_experiment
 from barolab.grid import BOUNDARY_TOL
 from conftest import child_env
 
@@ -318,6 +318,16 @@ class TestExperiments:
         assert summary["mass_drift"] is None
         written = json.loads((tmp_path / "z" / "summary.json").read_text())
         assert written["mass_drift"] is None and written["energy_drift"] > 0.0
+
+    @pytest.mark.parametrize("last", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("first", [1.0, 0.0])
+    def test_a_drift_to_a_non_finite_end_value_is_null(self, first, last):
+        # summary.json stays strict JSON: NaN and Infinity are not JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _drift([(0.0, first), (1.0, np.float64(last))], 1) is None
+            assert _drift([(0.0, np.float64(last)), (1.0, first)], 1) is None
+        assert _drift([(0.0, 2.0), (1.0, 2.5)], 1) == 0.25
 
     def test_failed_operator_solve_is_an_integration_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sturm_liouville, "RESIDUAL_TOL", -1.0)  # every solve fails

@@ -415,19 +415,27 @@ class TestBlowupAndReference:
         assert isinstance(err.value.__cause__, VacuumError)
 
     def test_rusanov_rhs_equals_the_roll_formula(self, sw_eos):
-        # the padded-slice stencil must reproduce the wrapped one bit for bit
+        # the wrapped local Lax-Friedrichs flux, written face by face: face j lies
+        # between cells j and j + 1, and cell j takes -(F_j - F_{j-1}) / dx
         rng = np.random.default_rng(5)
         g = Grid.periodic(1.0, 97)
         rho, u = rng.uniform(0.5, 2.0, g.n), rng.uniform(-1.0, 1.0, g.n)
         q = rho * u
         f_q = q * u + sw_eos.pressure(rho)
         a = np.abs(u) + sw_eos.sound_speed(rho)
-        a_face = np.maximum(a, np.roll(a, -1))
-        flux_rho = 0.5 * (q + np.roll(q, -1)) - 0.5 * a_face * (np.roll(rho, -1) - rho)
-        flux_q = 0.5 * (f_q + np.roll(f_q, -1)) - 0.5 * a_face * (np.roll(q, -1) - q)
+        flux_rho, flux_q = np.empty(g.n), np.empty(g.n)
+        for j in range(g.n):
+            k = (j + 1) % g.n
+            a_face = max(a[j], a[k])
+            flux_rho[j] = 0.5 * (q[j] + q[k]) - 0.5 * a_face * (rho[k] - rho[j])
+            flux_q[j] = 0.5 * (f_q[j] + f_q[k]) - 0.5 * a_face * (q[k] - q[j])
+        want_rho, want_q = np.empty(g.n), np.empty(g.n)
+        for j in range(g.n):
+            want_rho[j] = -(flux_rho[j] - flux_rho[j - 1]) / g.dx
+            want_q[j] = -(flux_q[j] - flux_q[j - 1]) / g.dx
         drho, dq = bl.euler.rusanov_rhs(State(0.0, rho, u, g), sw_eos)
-        assert np.array_equal(drho, -(flux_rho - np.roll(flux_rho, 1)) / g.dx)
-        assert np.array_equal(dq, -(flux_q - np.roll(flux_q, 1)) / g.dx)
+        assert np.array_equal(drho, want_rho)
+        assert np.array_equal(dq, want_q)
 
     def test_line_grid_run_and_contamination_warning(self, sw_eos, cubic_reg):
         import warnings
@@ -479,6 +487,20 @@ def test_field_shapes_must_match_the_grid(cubic_reg):
         State(0.0, np.ones(8), np.ones(16), g)
     with pytest.raises(DomainError, match="shape"):
         bl.SLSystem(g, np.ones(8), cubic_reg)
+
+
+def test_a_run_shorter_than_the_roundoff_floor_takes_its_step(sw_eos, cubic_reg):
+    # the end rule stops a run a margin relative to t_end short of it, so even a run
+    # of t_end = 1e-15 steps once and ends at t_end
+    t_end = 1e-15
+    g = Grid.periodic(1.0, 32)
+    st = State(0.0, 1.0 + 0.1 * np.sin(2 * np.pi * g.x), 0.1 * np.cos(2 * np.pi * g.x), g)
+    for result in (bl.run(st, SolverConfig(t_end=t_end), cubic_reg, sw_eos),
+                   bl.ghs_run(bl.GhsState(0.0, st.rho, st.u, g), SolverConfig(t_end=t_end),
+                              cubic_reg, sw_eos)):
+        assert result.steps >= 1
+        assert result.final.t == t_end
+    assert bl.rusanov_run(st, t_end, sw_eos).t == t_end
 
 
 def test_solver_config_validation():

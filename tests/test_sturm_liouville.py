@@ -128,7 +128,8 @@ class TestSolve:
         sys = SLSystem(g, rho, reg)
         # |L|, the largest absolute row sum rho + 2c (k_{i+1/2} + k_{i-1/2}) with
         # c = 2 eps/dx^2, from kappa = rho A' and the grid's ghosts, not the operator
-        kappa = g._pad(rho * reg.derivatives(rho)[1])
+        kappa = np.pad(rho * reg.derivatives(rho)[1], 1,
+                       mode="wrap" if g.is_periodic else "edge")
         k = 0.5 * (kappa[1:] + kappa[:-1])
         norm = np.max(rho + 4.0 * reg.epsilon / g.dx**2 * (k[1:] + k[:-1]))
         x, y, f = rng.standard_normal((3, n))
