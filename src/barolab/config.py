@@ -5,6 +5,11 @@ it is language-agnostic, diffable and needs no schema dependency.  Unknown
 sections or keys are rejected (typo safety) and validation reports *all*
 problems at once.  The full grammar is documented in the README.
 
+Four sections become objects.  ``[eos]`` and ``[grid]`` have builders, which pick
+a constructor by their ``kind`` or ``topology``; ``[regularizer]`` and ``[solver]``
+map onto :class:`Regularizer` and :class:`SolverConfig` by keyword, so each of
+their keys is a field of the same name.
+
 A rule lives in one place.  A key's own rule (one value, no other key) is the
 third field of its ``_SCHEMA`` entry; a rule that relates keys is in
 ``_validate``; a rule on a built object's parameters is in its constructor.
@@ -103,7 +108,7 @@ _SCHEMA = {
         "blowup_factor": (float, 1e3),
         "blowup_threshold": (float, None),
         "snapshot_every": (int, 0),
-        "on_blowup": (str, "report", _one_of("report", "fail")),
+        "on_blowup": (str, "report"),
     },
     "output": {"directory": (str, "out")},
     "study": {
@@ -201,9 +206,15 @@ def _parse(parser):
                  for key, (_, _, *rule) in keys.items() for holds, text in rule
                  if not holds(values[section][key])]
     problems += _validate(values)
+    # each object is built from the typed values alone, so that one broken section does
+    # not hide the problems of another; rho_bar comes from the [eos] values, or from
+    # the schema default once [eos] has reported it broken
     built = {}
-    for section, build in (("eos", _build_eos), ("regularizer", _build_regularizer),
-                           ("grid", build_grid), ("solver", _build_solver)):
+    for section, build in (
+            ("eos", _build_eos),
+            ("regularizer", lambda v: Regularizer(**v["regularizer"],
+                                                  rho_bar=v["eos"]["rho_bar"])),
+            ("grid", build_grid), ("solver", lambda v: SolverConfig(**v["solver"]))):
         try:
             built[section] = build(values)
         except DomainError as exc:
@@ -271,10 +282,6 @@ def _validate(v):
     return problems
 
 
-# Each builder reads only the typed values, so that one broken section does
-# not hide the problems of another; rho_bar comes from the [eos] values, or
-# from the schema default once [eos] has reported it broken.
-
 def _build_eos(v):
     e = v["eos"]
     if e["kind"] == "isentropic":
@@ -284,19 +291,6 @@ def _build_eos(v):
     if e["kind"] == "shallow_water":
         return EquationOfState.shallow_water(e["g"], e["rho_bar"])
     raise DomainError(f"kind must be isentropic, isothermal or shallow_water, not {e['kind']!r}")
-
-
-def _build_regularizer(v):
-    r = v["regularizer"]
-    return Regularizer(r["kind"], r["epsilon"], a=r["a"], rho_bar=v["eos"]["rho_bar"], p=r["p"])
-
-
-def _build_solver(v):
-    s = v["solver"]
-    return SolverConfig(
-        t_end=s["t_end"], cfl=s["cfl"], blowup_factor=s["blowup_factor"],
-        blowup_threshold=s["blowup_threshold"], snapshot_every=s["snapshot_every"],
-    )
 
 
 def build_grid(config):

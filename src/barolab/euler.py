@@ -131,6 +131,7 @@ class SolverConfig:
     blowup_factor: float = 1e3
     blowup_threshold: float | None = None   # absolute override of the factor rule
     snapshot_every: int = 0                 # steps between snapshots; 0 = ends only
+    on_blowup: str = "report"               # "fail": barolab run exits 3 on a blow-up
 
     def __post_init__(self):
         _require(
@@ -140,6 +141,7 @@ class SolverConfig:
             (self.blowup_threshold is None or self.blowup_threshold > 0.0,
              "blowup_threshold must be > 0 when given"),
             (self.snapshot_every >= 0, "snapshot_every must be >= 0"),
+            (self.on_blowup in ("report", "fail"), "on_blowup must be report or fail"),
         )
 
 
@@ -247,13 +249,15 @@ def cfl_dt(state, eos, cfl):
 def _rk4(state, dt, f, reg, eos):
     """One classical RK4 step of ``f(state, reg, eos)``.
 
-    Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.  A stage state
-    or result that fails its check, or a failed solve, becomes an :class:`IntegrationError`.
+    Stage states carry the stage times ``t``, ``t + dt/2`` and ``t + dt``.  A step that
+    leaves ``t`` unchanged, a stage state or result that fails its check, or a failed
+    solve, becomes an :class:`IntegrationError`.
     """
     def along(t, h, k):
         return replace(state, t=t, rho=state.rho + h * k[0], u=state.u + h * k[1])
 
     try:
+        _require((state.t + dt != state.t, f"a step of {dt:.3e} leaves t unchanged"))
         k1 = f(state, reg, eos)
         k2 = f(along(state.t + 0.5 * dt, 0.5 * dt, k1), reg, eos)
         k3 = f(along(state.t + 0.5 * dt, 0.5 * dt, k2), reg, eos)
@@ -265,7 +269,8 @@ def _rk4(state, dt, f, reg, eos):
 
 
 def step(state, dt, reg, eos, _rhs=None):
-    """One classical RK4 step; every stage state and the result are checked states."""
+    """One classical RK4 step; every stage state and the result are checked states, and
+    a ``dt`` too small to move ``t`` raises :class:`IntegrationError`."""
     return _rk4(state, dt, _rhs or rhs, reg, eos)
 
 
@@ -289,10 +294,14 @@ def diagnostics(state, reg, eos):
     )
 
 
-def _before_end(t, t_end):
-    """Whether a run at time ``t`` has not yet reached ``t_end`` (up to a roundoff
-    relative to ``t_end``, so that a run of any length takes its steps)."""
-    return t < t_end - 1e-14 * abs(t_end)
+def _before_end(t, t_end, length):
+    """Whether a run of ``length`` at time ``t`` has not yet reached its end ``t_end``,
+    up to a roundoff of ``1e-14 * length``, so that a run of any length from any start
+    takes its steps.  The step that ends the run is clipped to land on ``t_end``; a
+    step too small to move ``t`` (an underflowed CFL step, or a start so late that the
+    step is below half an ulp of ``t``) raises :class:`IntegrationError` rather than
+    loop forever."""
+    return t < t_end - 1e-14 * length
 
 
 DIAGNOSTICS_HEADER = "t,dt,mass,momentum,energy,sup_Wx"  # the columns of a series row
@@ -316,7 +325,7 @@ def _drive(initial, config, reg, eos, advance):
     result.snapshots.append(state)
     t_end = initial.t + config.t_end
     boundary_warned = False
-    while _before_end(state.t, t_end):
+    while _before_end(state.t, t_end, config.t_end):
         dt = min(cfl_dt(state, eos, config.cfl), t_end - state.t)
         try:
             state = advance(state, dt)
@@ -397,7 +406,8 @@ def ghs_energy(state, reg, eos):
 
 
 def ghs_step(state, dt, reg, eos):
-    """One RK4 step; every stage state and the result are checked states."""
+    """One RK4 step; every stage state and the result are checked states, and a ``dt``
+    too small to move ``t`` raises :class:`IntegrationError`."""
     return _rk4(state, dt, ghs_rhs, reg, eos)
 
 
@@ -427,21 +437,22 @@ def rusanov_rhs(state, eos):
 
 
 def rusanov_run(initial, t_end_rel, eos, cfl=0.4):
-    """Forward-Euler Rusanov run; returns the final state (``q = rho u`` is carried)."""
+    """Forward-Euler Rusanov run of length ``t_end_rel``; returns the final state
+    (``q = rho u`` is carried).  It ends as the RK4 runs do (:func:`_before_end`)."""
     grid = initial.grid
     if not grid.is_periodic:
         raise DomainError("the classical reference runs on periodic grids")
     t_end = initial.t + t_end_rel
-    rho, q, t = initial.rho, initial.rho * initial.u, initial.t
-    cur = State(t, rho, q / rho, grid)
-    while _before_end(t, t_end):
-        dt = min(cfl_dt(cur, eos, cfl), t_end - t)
+    rho, q = initial.rho, initial.rho * initial.u
+    cur = State(initial.t, rho, q / rho, grid)
+    while _before_end(cur.t, t_end, t_end_rel):
+        dt = min(cfl_dt(cur, eos, cfl), t_end - cur.t)
         drho, dq = rusanov_rhs(cur, eos)
         rho = rho + dt * drho
         q = q + dt * dq
-        t += dt
         try:
-            cur = State(t, rho, q / rho, grid)
+            _require((cur.t + dt != cur.t, f"a step of {dt:.3e} leaves t unchanged"))
+            cur = State(cur.t + dt, rho, q / rho, grid)
         except DomainError as exc:
-            raise IntegrationError(str(exc), t) from exc
+            raise IntegrationError(str(exc), cur.t + dt) from exc
     return cur

@@ -250,7 +250,7 @@ def _run_time_series(config, outdir):
     }
     if state_cls is State:
         summary["momentum_drift"] = _drift(result.series, 3)
-    code = EXIT_BLOWUP if (result.blowup and config["solver"]["on_blowup"] == "fail") else EXIT_OK
+    code = EXIT_BLOWUP if (result.blowup and config.solver.on_blowup == "fail") else EXIT_OK
     return code, summary
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import multiprocessing
@@ -76,9 +77,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "tools" / "configs"  # the byte-
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(args, cwd, env_root):
+def run_cli(args, cwd, env_root, timeout=None):
     return subprocess.run([sys.executable, "-m", "barolab.cli", *args], capture_output=True,
-                          text=True, cwd=cwd, env=child_env(BAROLAB_OUTPUT_ROOT=str(env_root)))
+                          text=True, cwd=cwd, env=child_env(BAROLAB_OUTPUT_ROOT=str(env_root)),
+                          timeout=timeout)
 
 
 class TestParsing:
@@ -289,6 +291,14 @@ class TestParsing:
             for key, (conv, default, *_) in keys.items():
                 if default is not None:
                     assert conv(grammar[section][key]) == default, (section, key)
+
+    def test_solver_and_regularizer_keys_are_their_objects_fields(self):
+        # both sections become their objects by keyword, so a key added without its
+        # field fails here, not as a TypeError on every parse
+        def fields(cls):
+            return sorted(f.name for f in dataclasses.fields(cls))
+        assert sorted(_SCHEMA["solver"]) == fields(bl.SolverConfig)
+        assert sorted([*_SCHEMA["regularizer"], "rho_bar"]) == fields(bl.Regularizer)
 
     def test_tanh_front_is_continuous_across_wrap(self):
         cfg = parse_config(MINIMAL_RBE.replace("kind = sine_bump",
@@ -991,6 +1001,20 @@ class TestCli:
         assert float(rows[0].split(",")[0]) == 0.0
         assert float(rows[-1].split(",")[0]) == summary["failure_time"]
         assert not list((tmp_path / "fail").glob("snapshot*"))
+
+    def test_a_step_that_cannot_move_t_exit_code(self, tmp_path, capsys):
+        # cfl = 5e-324 passes validate, but its step cfl * dx / max(|u| + c_s) underflows
+        # to 0: the run keeps its t = 0 row and exits 2 instead of looping forever
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[experiment]\nkind = rbe_run\n[grid]\nn = 16\n"
+                       "[solver]\nt_end = 0.01\ncfl = 5e-324\n")
+        assert cli.main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+        r = run_cli(["run", str(cfg)], tmp_path, tmp_path, timeout=60)
+        assert r.returncode == 2, r.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["error"] == "a step of 0.000e+00 leaves t unchanged (at t = 0)"
+        _, *rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows] == [0.0]
 
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -138,7 +138,8 @@ def test_fuzz_table_covers_the_schema():
 # doubles; then eps = 0, eps = 1 and a density contrast of 1e3; then two laws
 # whose constants overflow, an isothermal steady profile whose sonic density
 # is tiny, and a dispersion study at slow sound (c0 = 0.01), whose long
-# periods take the same steps as at any c0.
+# periods take the same steps as at any c0; last, a cfl whose step underflows
+# to 0, which cannot move t and so exits 2.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(config=configs(), absolute=st.booleans())
 @example(config=_cfg("steady_profile", study={"mass_flux": "1.6", "momentum_flux": "0.6",
@@ -163,6 +164,7 @@ def test_fuzz_table_covers_the_schema():
          absolute=False)
 @example(config=_cfg("dispersion_study", eos={"gamma": "1e-4"}, study={"modes": "1, 2"}),
          absolute=False)
+@example(config=_cfg("rbe_run", solver={"cfl": "5e-324"}), absolute=False)
 def test_every_config_ends_in_a_documented_exit(config, absolute):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a warning must not become an escaping error

@@ -490,8 +490,8 @@ def test_field_shapes_must_match_the_grid(cubic_reg):
 
 
 def test_a_run_shorter_than_the_roundoff_floor_takes_its_step(sw_eos, cubic_reg):
-    # the end rule stops a run a margin relative to t_end short of it, so even a run
-    # of t_end = 1e-15 steps once and ends at t_end
+    # the end rule stops a run a margin relative to its length short of its end, so
+    # even a run of t_end = 1e-15 steps once and ends at t_end
     t_end = 1e-15
     g = Grid.periodic(1.0, 32)
     st = State(0.0, 1.0 + 0.1 * np.sin(2 * np.pi * g.x), 0.1 * np.cos(2 * np.pi * g.x), g)
@@ -508,10 +508,47 @@ def test_solver_config_validation():
     for bad in (dict(t_end=0.0), dict(t_end=inf), dict(t_end=nan), dict(cfl=0.0),
                 dict(cfl=1.5), dict(cfl=nan), dict(blowup_factor=-1.0),
                 dict(blowup_factor=nan), dict(blowup_threshold=0.0),
-                dict(blowup_threshold=nan), dict(snapshot_every=-1)):
+                dict(blowup_threshold=nan), dict(snapshot_every=-1),
+                dict(on_blowup="ignore")):
         with pytest.raises(DomainError):
             SolverConfig(**{"t_end": 1.0, **bad})
     # one error names every broken rule
     with pytest.raises(DomainError, match="t_end.*blowup_factor.*snapshot_every"):
         SolverConfig(t_end=inf, blowup_factor=-1.0, snapshot_every=-1)
     assert SolverConfig(t_end=1.0, blowup_threshold=inf).blowup_threshold == inf
+    assert SolverConfig(t_end=1.0, on_blowup="fail").on_blowup == "fail"
+
+
+def _late_start(t0):
+    """The three CFL loops from ``t0``, each over a length of 1, on a state whose RK4
+    step is 7.774e-3 (cfl 0.5) and whose Rusanov step is 6.219e-3 (cfl 0.4)."""
+    g = Grid.periodic(1.0, 64)
+    rho, u = 1.0 + 0.01 * np.sin(2 * np.pi * g.x), np.zeros(64)
+    eos, reg, config = EquationOfState.shallow_water(1.0), Regularizer.cubic(0.1), \
+        SolverConfig(t_end=1.0)
+    return {"run": lambda: bl.run(State(t0, rho, u, g), config, reg, eos),
+            "ghs_run": lambda: bl.ghs_run(bl.GhsState(t0, rho, u, g), config, reg, eos),
+            "rusanov_run": lambda: bl.rusanov_run(State(t0, rho, u, g), 1.0, eos)}
+
+
+@pytest.mark.parametrize("t0", [1e12, 1e13])
+def test_a_late_start_runs_the_whole_length(t0):
+    # the end margin is relative to the run's length, not to its end time: a margin of
+    # 1e-14 * t_end would stop these runs about 0.01 and 0.1 short of t0 + 1
+    for name, loop in _late_start(t0).items():
+        result = loop()
+        assert getattr(result, "final", result).t == t0 + 1.0, name
+
+
+def test_a_step_that_leaves_t_unchanged_raises():
+    # at t = 1e15 one ulp of t is 0.125, far above either step: t cannot move, and a
+    # loop that tried would never end
+    loops = _late_start(1e15)
+    with pytest.raises(IntegrationError) as err:
+        loops["run"]()
+    assert str(err.value) == "a step of 7.774e-03 leaves t unchanged (at t = 1e+15)"
+    assert [row[0] for row in err.value.series] == [1e15]  # the rows before the failure
+    with pytest.raises(IntegrationError, match="step of 7.774e-03 leaves t unchanged"):
+        loops["ghs_run"]()
+    with pytest.raises(IntegrationError, match="step of 6.219e-03 leaves t unchanged"):
+        loops["rusanov_run"]()

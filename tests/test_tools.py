@@ -63,15 +63,20 @@ def test_environment_differences_ignore_half_precision_simd():
         "numpy 2.4.6 (here 1.26.4)"]
 
 
+def _digest_tool(monkeypatch):
+    """``tools/csv_digest.py``, with this barolab first on its runs' ``PYTHONPATH``."""
+    src = str(Path(bl.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return load_script("tools", "csv_digest")
+
+
 def test_outputs_match_the_committed_digests(tmp_path, capsys, monkeypatch):
     # every CSV, fit.json and summary.json of tools/configs, byte for byte. Equal
     # digests pass on any host; unequal ones fail where nothing that sets the bits
     # differs from the environment that made the listing, and skip elsewhere
-    digest = load_script("tools", "csv_digest")
+    digest = _digest_tool(monkeypatch)
     header, *listing = (ROOT / "tools" / "digests.txt").read_text().splitlines()
-    src = str(Path(bl.__file__).resolve().parents[1])
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     assert digest.main([str(tmp_path / "out")]) == 0
     body = capsys.readouterr().out.splitlines()[1:]
     if body == listing:
@@ -81,3 +86,17 @@ def test_outputs_match_the_committed_digests(tmp_path, capsys, monkeypatch):
     if differ:
         pytest.skip("outputs differ from tools/digests.txt, made with " + "; ".join(differ))
     assert body == listing
+
+
+def test_a_run_past_the_timeout_fails_the_digest(tmp_path, capsys, monkeypatch):
+    # a step of about 4.2e-322 still moves t, so the run's own guard does not fire,
+    # and it would take about 2.4e319 steps; the timeout kills it
+    digest = _digest_tool(monkeypatch)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "endless.cfg").write_text(
+        "[experiment]\nkind = rbe_run\n[grid]\nn = 16\n[solver]\nt_end = 0.01\ncfl = 1e-320\n")
+    monkeypatch.setattr(digest, "CONFIGS", configs)
+    monkeypatch.setattr(digest, "TIMEOUT_S", 3)
+    assert digest.main([str(tmp_path / "out")]) == 1
+    assert "endless.cfg: no exit within 3 s" in capsys.readouterr().err

@@ -13,7 +13,8 @@ for every CSV, ``fit.json`` and ``summary.json`` written, sorted by path.  A CSV
 ``fit.json`` digest covers the file's bytes; a ``summary.json`` digest covers the
 summary without its ``wall_clock_s``, the one value that changes between runs,
 serialised with ``json.dumps(..., sort_keys=True)``.  It exits 1 if any run exits
-non-zero and 2 if ``OUT`` is not empty.
+non-zero or runs longer than ``TIMEOUT_S`` seconds (the run is then killed), and 2
+if ``OUT`` is not empty.
 
 The first line, ``# key=value ...``, names the environment that made the
 digests: the Python, numpy and SciPy versions, the machine, the C library and
@@ -41,6 +42,7 @@ import sys
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
+TIMEOUT_S = 60  # per run; each committed config runs in about 1 s on a 2-vCPU x86-64 host
 
 
 def environment():
@@ -74,10 +76,15 @@ def main(argv=None):
     print("# " + " ".join(f"{key}={value}" for key, value in environment().items()))
     failed = False
     for config in sorted(CONFIGS.glob("*.cfg")):
-        run = subprocess.run(
-            [sys.executable, "-m", "barolab.cli", "run", config.name,
-             "--output", str(out / config.stem)],
-            cwd=CONFIGS, env=env, capture_output=True, text=True)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "barolab.cli", "run", config.name,
+                 "--output", str(out / config.stem)],
+                cwd=CONFIGS, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            failed = True
+            print(f"{config.name}: no exit within {TIMEOUT_S} s", file=sys.stderr)
+            continue
         if run.returncode != 0:
             failed = True
             print(f"{config.name}: exit code {run.returncode}\n{run.stderr}", file=sys.stderr)
