@@ -112,8 +112,9 @@ def _run_members(jobs):
     """``run_experiment(config, output_dir)`` for each job; the outcomes in job order.
 
     With two or more workers, ``min(jobs, CPUs)``, and ``fork``, the jobs run
-    in a forked process pool: each worker has its own stage workspace, and the
-    pool's helper threads run no barolab code.  Each member's warnings are
+    in a forked process pool: each worker has its own stage workspace, and starts
+    its own stage helper thread at its first stage of ``euler.PARALLEL_MIN_N`` cells
+    or more; the pool's own threads run no barolab code.  Each member's warnings are
     emitted here, member by member in job order, and the first exception that
     escaped a member is raised in that order, as the plain loop would.  A
     worker that dies raises ``BrokenProcessPool``.  Every worker is joined
@@ -133,8 +134,9 @@ def _run_members(jobs):
         with warnings.catch_warnings():
             # Python 3.12+ warns when it forks a process with live threads.  The
             # executor forks every worker at the first submit, before it starts
-            # its own thread; barolab starts none, and OpenBLAS's pool is parked
-            # around a fork by its own pthread_atfork handler.
+            # its own thread.  barolab's one thread, the stage helper, is idle
+            # between stages, and a forked child starts its own; OpenBLAS's pool
+            # is parked around a fork by its own pthread_atfork handler.
             warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
                                     DeprecationWarning)
             done = pool.map(_member, *zip(*jobs))

@@ -43,9 +43,20 @@ the operator's buffers and three rows of the stage's own, which every grid of th
 same size shares, made on the first stage of that size.  No buffer escapes the
 call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage, and
 so ``step`` and ``run``, is the one code that shares buffers: ``Grid.ddx(out=)``
-and a public ``SLSystem`` share none.  A stage is therefore not thread-safe;
-barolab runs no stage on a thread: the worker processes of ``barolab sweep`` each
-have their own workspace, and the pool's helper threads run no barolab code.
+and a public ``SLSystem`` share none.  A stage is therefore not thread-safe, and
+only one thread at a time may run stages.
+
+A stage of the regularized system is two tasks that write no common buffer: the
+transport task writes ``drho``, ``du`` and the operator's ``_dpsi`` cell, and the
+operator task writes the rest of the workspace but row 0, ``u_x``, which both read.
+On a grid of at least :data:`PARALLEL_MIN_N` cells with ``eps > 0`` the transport
+task runs on a helper thread while the stage's own thread forms and factors the
+operator, for numpy releases the GIL inside each array loop; the stage joins the
+helper before its solve.  There is one helper per process, a daemon thread started
+by the first such stage and started again in a forked child.  Every other stage,
+and every Hunter-Saxton stage, runs on its caller's thread alone.  The worker
+processes of ``barolab sweep`` each have their own workspace and helper, and the
+pool's own threads run no barolab code.
 
 At high frequency the Sturm-Liouville operator reduces to its leading symbol,
 ``L ~ -2 eps d/dx (kappa d/dx .)`` with ``kappa = rho A'``, so the smoothed
@@ -79,6 +90,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from operator import mul
 
@@ -196,39 +209,135 @@ def _workspace(n):
     return _buffers(n), np.empty((3, n))
 
 
-def rhs(state, reg, eos):
-    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
+PARALLEL_MIN_N = 32768  # the smallest grid whose stages use the helper thread
 
-    Every other n-sized array of the stage lives in the workspace of the grid's size.
-    The stage's own rows hold ``u_x`` and then the solve's result (row 0), ``rho u``,
-    ``P`` and then ``psi`` (row 1), and ``A'``, which becomes ``kappa`` (row 2) and is
-    read there, in place, by the operator.  Until it assembles the operator, the stage
-    uses the operator's cells as scratch: cells 0-2 for the other slots of
-    :func:`~barolab.regularizer._composite`, cell 3 for ``dP/dx`` and then ``rho_x``.
+
+class _Helper:
+    """The process's one helper thread, a daemon that runs the transport task of each
+    large stage (:func:`rhs`) while the stage's own thread runs the operator task.
+
+    The first large stage of a process starts it, and a forked child, which inherits
+    no running thread, starts its own (:func:`_helper`).  Each call hands the thread
+    its task with a lock and a failure slot of its own, so a completion can only
+    release the call that submitted it.
     """
+
+    def __init__(self):
+        from queue import SimpleQueue  # here, not at the top: only a large stage needs it
+        self.pid = os.getpid()
+        self._tasks = SimpleQueue()
+        threading.Thread(target=self._serve, name="barolab-helper", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            task, errstate, failure, done = self._tasks.get()
+            try:
+                # numpy keeps its floating-point error state per thread
+                with np.errstate(**errstate):
+                    task()
+            except BaseException as exc:
+                failure.append(exc)
+            done.release()
+
+    def beside(self, task, main):
+        """``main()``'s value, with ``task()`` run on the helper thread meanwhile under
+        the caller's ``np.geterr()``.  Neither returns nor raises before ``task`` has
+        ended, even when the wait is interrupted; if both fail, ``main``'s error is
+        raised, else ``task``'s."""
+        failure, done = [], threading.Lock()
+        done.acquire()
+        self._tasks.put((task, np.geterr(), failure, done))
+        try:
+            value = main()
+        finally:
+            try:
+                done.acquire()
+            except BaseException:
+                done.acquire()  # the task writes the stage workspace: let it end first
+                raise
+        if failure:
+            raise failure[0]
+        return value
+
+
+_HELPER = None
+
+
+def _helper():
+    """This process's :class:`_Helper`, started on the first call in each process."""
+    global _HELPER
+    if _HELPER is None or _HELPER.pid != os.getpid():
+        _HELPER = _Helper()
+    return _HELPER
+
+
+def _transport(state, eos, ux, drho, du, dp):
+    """The transport terms ``drho = -(rho u)_x`` and ``du = -u u_x - P_x/rho`` of a
+    stage with velocity gradient ``ux``, into ``drho`` and ``du``; ``du`` holds ``rho u``
+    and then ``P`` first, and ``dp`` receives ``P_x/rho``."""
     grid = state.grid
     rho, u = state.rho, state.u
-    (faces, cells), own = _workspace(grid.n)
-    ux = grid.ddx(u, far=grid.u_far, out=own[0])
-    drho = grid.ddx(np.multiply(rho, u, out=own[1]), far=grid._far(mul),
-                    out=np.empty(grid.n))
+    grid.ddx(np.multiply(rho, u, out=du), far=grid._far(mul), out=drho)
     np.negative(drho, out=drho)
     # the far states reach the kernel as the 0-d arrays the checked form makes of them
     p_far = grid._far(lambda r, _: eos._pressure(np.asarray(r)))
     # not in place: numpy would copy the overlapping interior
-    dp = grid.ddx(eos._pressure(rho, own[1]), far=p_far, out=cells[3])
+    grid.ddx(eos._pressure(rho, du), far=p_far, out=dp)
     dp /= rho
-    du = np.negative(u)
+    np.negative(u, out=du)
     du *= ux
     du -= dp
+
+
+def _operator(state, reg, eos, ux, workspace):
+    """``(operator, psi)`` of a stage with velocity gradient ``ux``: ``rho_x``, the
+    source ``psi`` and ``kappa``, and the operator assembled and factorized from them,
+    in ``workspace`` (:func:`_workspace`) but for the operator's ``_dpsi`` cell."""
+    grid, rho = state.grid, state.rho
+    (faces, cells), own = workspace
+    rx = grid.ddx(rho, far=grid.rho_far, out=cells[3])
+    psi, da = _source(rho, ux, rx, reg, eos, own[1], own[2], *cells[:3])
+    kappa = np.multiply(rho, da, out=da)
+    return SLSystem._assembled(grid, rho, kappa, reg.epsilon, (faces, cells)), psi
+
+
+def rhs(state, reg, eos):
+    """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
+
+    A stage is two tasks that write no common buffer, :func:`_transport` and
+    :func:`_operator`, after ``u_x`` and before the smoothed source.  On a grid of at
+    least :data:`PARALLEL_MIN_N` cells with ``eps > 0`` the transport task runs on the
+    helper thread (:class:`_Helper`) while this thread runs the operator task; otherwise
+    both run here, in that order.  Each array operation is the same in both schedules,
+    so their results are bitwise equal.
+
+    Every other n-sized array of the stage lives in the workspace of the grid's size.
+    The stage's own rows hold ``u_x`` and then the solve's result (row 0), ``psi``
+    (row 1), and ``A'``, which becomes ``kappa`` (row 2) and is read there, in place,
+    by the operator.  The transport task uses the operator's ``_dpsi`` cell (cell 4)
+    for ``dP/dx``; the operator task uses cells 0-2 for the other slots of
+    :func:`~barolab.regularizer._composite` and cell 3 for ``rho_x`` until it
+    assembles the operator.  The solve writes ``_dpsi`` and row 0, so it waits for
+    the transport task.
+    """
+    grid = state.grid
+    workspace = _workspace(grid.n)
+    (_, cells), own = workspace
+    ux = grid.ddx(state.u, far=grid.u_far, out=own[0])
+    drho, du = np.empty(grid.n), np.empty(grid.n)
+    transport = functools.partial(_transport, state, eos, ux, drho, du, cells[4])
     if reg.epsilon > 0.0:
-        rx = grid.ddx(rho, far=grid.rho_far, out=cells[3])
-        psi, da = _source(rho, ux, rx, reg, eos, own[1], own[2], *cells[:3])
-        kappa = np.multiply(rho, da, out=da)
-        system = SLSystem._assembled(grid, rho, kappa, reg.epsilon, (faces, cells))
+        operator = functools.partial(_operator, state, reg, eos, ux, workspace)
+        if grid.n >= PARALLEL_MIN_N:
+            system, psi = _helper().beside(transport, operator)
+        else:
+            transport()
+            system, psi = operator()
         smoothed = system.solve_dx(psi, out=own[0])
         smoothed *= reg.epsilon
         du -= smoothed
+    else:
+        transport()
     return drho, du
 
 
@@ -437,11 +546,12 @@ def rusanov_rhs(state, eos):
 
 
 def rusanov_run(initial, t_end_rel, eos, cfl=0.4):
-    """Forward-Euler Rusanov run of length ``t_end_rel``; returns the final state
-    (``q = rho u`` is carried).  It ends as the RK4 runs do (:func:`_before_end`)."""
+    """Forward-Euler Rusanov run of length ``t_end_rel``, which must be > 0 and finite;
+    returns the final state (``q = rho u`` is carried).  It ends as the RK4 runs do
+    (:func:`_before_end`)."""
     grid = initial.grid
-    if not grid.is_periodic:
-        raise DomainError("the classical reference runs on periodic grids")
+    _require((grid.is_periodic, "the classical reference runs on periodic grids"),
+             (0.0 < t_end_rel < math.inf, "t_end_rel must be > 0 and finite"))
     t_end = initial.t + t_end_rel
     rho, q = initial.rho, initial.rho * initial.u
     cur = State(initial.t, rho, q / rho, grid)

@@ -406,6 +406,13 @@ class TestBlowupAndReference:
         with pytest.raises(DomainError, match="periodic"):
             bl.rusanov_run(State(0.0, np.ones(64), np.zeros(64), g), 0.1, sw_eos)
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf, -1.0, 0.0])
+    def test_rusanov_needs_a_positive_finite_length(self, sw_eos, length):
+        g = Grid.periodic(1.0, 64)
+        st = State(0.0, 1.0 + 0.01 * np.sin(2 * np.pi * g.x), np.zeros(64), g)
+        with pytest.raises(DomainError, match="t_end_rel must be > 0 and finite"):
+            bl.rusanov_run(st, length, sw_eos)
+
     def test_rusanov_vacuum_is_an_integration_error(self, sw_eos):
         g = Grid.periodic(1.0, 256)
         st = State(0.0, np.ones(256), 3.0 * np.sin(2 * np.pi * g.x), g)
