@@ -53,8 +53,10 @@ def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):
     eigenvector on a periodic ``[0, 2 pi)`` domain of ``max(256, 64 k)`` nodes
     at CFL 0.3 for one predicted period and extracts the phase advance of the
     fundamental Fourier mode (the discrete cross-correlation phase).  Raises
-    :class:`MeasurementInvalidError` when content outside the fundamental
-    exceeds ``harmonic_tol`` of it, which signals nonlinear contamination.
+    :class:`MeasurementInvalidError` before the run when the initial density has
+    no fundamental (an amplitude below its rounding), and after it when content
+    outside the fundamental exceeds ``harmonic_tol`` of it, which signals
+    nonlinear contamination.
     """
     k = int(k)
     if k <= 0:
@@ -65,13 +67,11 @@ def measured_phase_speed(eos, reg, k, amplitude, harmonic_tol=0.01):
     rho0 = eos.rho_bar + a * np.cos(k * grid.x)
     u0 = (c0 / eos.rho_bar) * a * np.cos(k * grid.x)
     period = 2.0 * np.pi / (k * c0)
+    spec0 = np.fft.rfft(rho0 - eos.rho_bar)
+    if spec0[k] == 0.0:  # a wave below the density's rounding: nothing would move
+        raise MeasurementInvalidError(f"amplitude {a:.3e} leaves no mode {k} in the density")
     result = run(State(0.0, rho0, u0, grid), SolverConfig(t_end=period, cfl=0.3), reg, eos)
-
-    def mode(state):
-        return np.fft.rfft(state.rho - eos.rho_bar)
-
-    spec0 = mode(result.snapshots[0])
-    spec1 = mode(result.final)
+    spec1 = np.fft.rfft(result.final.rho - eos.rho_bar)
     amp_fund = np.abs(spec1[k])
     others = np.abs(spec1).copy()
     others[0] = others[k] = 0.0

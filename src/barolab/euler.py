@@ -40,23 +40,32 @@ n-sized array of it (the gradients, the pressure, the coefficients, ``psi``,
 ``kappa``, the operator and its solve) is written, with ``out=`` or in place and
 in the order of the plain formulas, into the stage workspace (:func:`_workspace`):
 the operator's buffers and three rows of the stage's own, which every grid of the
-same size shares, made on the first stage of that size.  No buffer escapes the
-call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A stage, and
-so ``step`` and ``run``, is the one code that shares buffers: ``Grid.ddx(out=)``
-and a public ``SLSystem`` share none.  A stage is therefore not thread-safe, and
-only one thread at a time may run stages.
+same size shares, made on the first stage of that size.  The stage's rows hold
+``u_x`` and then the solve's result (row 0), ``psi`` (row 1), and ``A'``, which
+becomes ``kappa`` (row 2) and is read there, in place, by the operator.  No buffer
+escapes the call, so ``drho`` and ``du`` are fresh arrays owned by the caller.  A
+stage, and so ``step`` and ``run``, is the one code that shares buffers:
+``Grid.ddx(out=)`` and a public ``SLSystem`` share none.  A stage is therefore not
+thread-safe, and only one thread at a time may run stages.
 
-A stage of the regularized system is two tasks that write no common buffer: the
-transport task writes ``drho``, ``du`` and the operator's ``_dpsi`` cell, and the
-operator task writes the rest of the workspace but row 0, ``u_x``, which both read.
+The schedule of a stage.  After ``u_x``, a stage of the regularized system is two
+tasks that write no common buffer.  The transport task (:func:`_transport`) writes
+``drho``, ``du`` and the operator's ``_dpsi`` cell (cell 4), which holds ``P_x/rho``.
+The operator task (:func:`_operator`) writes cells 0-2 as the other slots of
+:func:`~barolab.regularizer._composite`, cell 3 as ``rho_x`` until it assembles the
+operator, and the rest of the workspace but row 0, ``u_x``, which both tasks read.
 On a grid of at least :data:`PARALLEL_MIN_N` cells with ``eps > 0`` the transport
-task runs on a helper thread while the stage's own thread forms and factors the
-operator, for numpy releases the GIL inside each array loop; the stage joins the
-helper before its solve.  There is one helper per process, a daemon thread started
-by the first such stage and started again in a forked child.  Every other stage,
-and every Hunter-Saxton stage, runs on its caller's thread alone.  The worker
-processes of ``barolab sweep`` each have their own workspace and helper, and the
-pool's own threads run no barolab code.
+task runs on a helper thread (:func:`_beside`) while the stage's own thread runs the
+operator task, for numpy releases the GIL inside each array loop.  The solve writes
+``_dpsi`` and row 0, so the stage waits for the transport task before it.  Every
+other stage, and every Hunter-Saxton stage, runs on its caller's thread alone, the
+transport task first.  Each array operation is the same in both schedules, so their
+results are bitwise equal.  There is one helper per process, a daemon thread
+started by the first large stage and started again in a forked child.  It runs
+each task under the caller's ``np.geterr()``, and an error of either task reaches
+the caller, the operator task's if both fail.  Each worker process of a sweep
+(``barolab sweep``) has its own workspace and helper, and the pool's own threads run
+no barolab code.
 
 At high frequency the Sturm-Liouville operator reduces to its leading symbol,
 ``L ~ -2 eps d/dx (kappa d/dx .)`` with ``kappa = rho A'``, so the smoothed
@@ -212,63 +221,52 @@ def _workspace(n):
 PARALLEL_MIN_N = 32768  # the smallest grid whose stages use the helper thread
 
 
-class _Helper:
-    """The process's one helper thread, a daemon that runs the transport task of each
-    large stage (:func:`rhs`) while the stage's own thread runs the operator task.
+_HELPER = (None, None)  # (pid, task queue) of this process's helper thread (_beside)
 
-    The first large stage of a process starts it, and a forked child, which inherits
-    no running thread, starts its own (:func:`_helper`).  Each call hands the thread
-    its task with a lock and a failure slot of its own, so a completion can only
-    release the call that submitted it.
-    """
 
-    def __init__(self):
-        from queue import SimpleQueue  # here, not at the top: only a large stage needs it
-        self.pid = os.getpid()
-        self._tasks = SimpleQueue()
-        threading.Thread(target=self._serve, name="barolab-helper", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            task, errstate, failure, done = self._tasks.get()
-            try:
-                # numpy keeps its floating-point error state per thread
-                with np.errstate(**errstate):
-                    task()
-            except BaseException as exc:
-                failure.append(exc)
-            done.release()
-
-    def beside(self, task, main):
-        """``main()``'s value, with ``task()`` run on the helper thread meanwhile under
-        the caller's ``np.geterr()``.  Neither returns nor raises before ``task`` has
-        ended, even when the wait is interrupted; if both fail, ``main``'s error is
-        raised, else ``task``'s."""
-        failure, done = [], threading.Lock()
-        done.acquire()
-        self._tasks.put((task, np.geterr(), failure, done))
+def _serve(tasks):
+    """The helper thread: runs each ``(task, reply)`` of ``tasks`` in turn and puts
+    its error, or ``None``, in ``reply``."""
+    while True:
+        task, reply = tasks.get()
         try:
-            value = main()
-        finally:
-            try:
-                done.acquire()
-            except BaseException:
-                done.acquire()  # the task writes the stage workspace: let it end first
-                raise
-        if failure:
-            raise failure[0]
-        return value
+            task()
+        except BaseException as exc:
+            reply.put(exc)
+        else:
+            reply.put(None)
 
 
-_HELPER = None
+def _beside(task, main):
+    """``main()``'s value, with ``task()`` run on the helper thread meanwhile under the
+    caller's ``np.geterr()``.  Neither returns nor raises before ``task`` has ended, even
+    when the wait is interrupted; if both fail, ``main``'s error is raised, else ``task``'s.
 
-
-def _helper():
-    """This process's :class:`_Helper`, started on the first call in each process."""
+    The first call of a process starts its helper, and so does the first call in a
+    forked child, which inherits no running thread.  Each call waits on a reply queue
+    of its own, so a completion can only release the call that submitted it.
+    """
+    from queue import SimpleQueue  # here, not at the top: only a large stage needs it
     global _HELPER
-    if _HELPER is None or _HELPER.pid != os.getpid():
-        _HELPER = _Helper()
-    return _HELPER
+    pid, tasks = _HELPER
+    if pid != os.getpid():
+        tasks = SimpleQueue()
+        threading.Thread(target=_serve, args=(tasks,), name="barolab-helper", daemon=True).start()
+        _HELPER = os.getpid(), tasks
+    reply = SimpleQueue()
+    # numpy keeps its floating-point error state per thread
+    tasks.put((np.errstate(**np.geterr())(task), reply))
+    try:
+        value = main()
+    finally:
+        try:
+            failure = reply.get()
+        except BaseException:
+            reply.get()  # the task writes the stage workspace: let it end first
+            raise
+    if failure is not None:
+        raise failure
+    return value
 
 
 def _transport(state, eos, ux, drho, du, dp):
@@ -304,21 +302,10 @@ def _operator(state, reg, eos, ux, workspace):
 def rhs(state, reg, eos):
     """Semi-discrete right-hand side ``(d rho/dt, d u/dt)``, two fresh arrays.
 
-    A stage is two tasks that write no common buffer, :func:`_transport` and
-    :func:`_operator`, after ``u_x`` and before the smoothed source.  On a grid of at
-    least :data:`PARALLEL_MIN_N` cells with ``eps > 0`` the transport task runs on the
-    helper thread (:class:`_Helper`) while this thread runs the operator task; otherwise
-    both run here, in that order.  Each array operation is the same in both schedules,
-    so their results are bitwise equal.
-
-    Every other n-sized array of the stage lives in the workspace of the grid's size.
-    The stage's own rows hold ``u_x`` and then the solve's result (row 0), ``psi``
-    (row 1), and ``A'``, which becomes ``kappa`` (row 2) and is read there, in place,
-    by the operator.  The transport task uses the operator's ``_dpsi`` cell (cell 4)
-    for ``dP/dx``; the operator task uses cells 0-2 for the other slots of
-    :func:`~barolab.regularizer._composite` and cell 3 for ``rho_x`` until it
-    assembles the operator.  The solve writes ``_dpsi`` and row 0, so it waits for
-    the transport task.
+    From :data:`PARALLEL_MIN_N` cells with ``eps > 0`` its transport task runs on the
+    helper thread while this thread runs its operator task; otherwise both run here.
+    The results are bitwise equal either way.  The module docstring's "schedule of a
+    stage" says which buffers each task writes.
     """
     grid = state.grid
     workspace = _workspace(grid.n)
@@ -329,7 +316,7 @@ def rhs(state, reg, eos):
     if reg.epsilon > 0.0:
         operator = functools.partial(_operator, state, reg, eos, ux, workspace)
         if grid.n >= PARALLEL_MIN_N:
-            system, psi = _helper().beside(transport, operator)
+            system, psi = _beside(transport, operator)
         else:
             transport()
             system, psi = operator()
@@ -546,12 +533,13 @@ def rusanov_rhs(state, eos):
 
 
 def rusanov_run(initial, t_end_rel, eos, cfl=0.4):
-    """Forward-Euler Rusanov run of length ``t_end_rel``, which must be > 0 and finite;
-    returns the final state (``q = rho u`` is carried).  It ends as the RK4 runs do
-    (:func:`_before_end`)."""
+    """Forward-Euler Rusanov run of length ``t_end_rel`` at CFL number ``cfl``, each of
+    which must be > 0 and finite; returns the final state (``q = rho u`` is carried).
+    It ends as the RK4 runs do (:func:`_before_end`)."""
     grid = initial.grid
     _require((grid.is_periodic, "the classical reference runs on periodic grids"),
-             (0.0 < t_end_rel < math.inf, "t_end_rel must be > 0 and finite"))
+             (0.0 < t_end_rel < math.inf, "t_end_rel must be > 0 and finite"),
+             (0.0 < cfl < math.inf, "cfl must be > 0 and finite"))
     t_end = initial.t + t_end_rel
     rho, q = initial.rho, initial.rho * initial.u
     cur = State(initial.t, rho, q / rho, grid)

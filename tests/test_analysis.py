@@ -49,6 +49,15 @@ class TestPhaseSpeedMeasured:
         with pytest.raises(MeasurementInvalidError):
             bl.measured_phase_speed(sw_eos, cubic_reg, 2, 0.05)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1e-17])
+    def test_a_wave_below_the_density_rounding_is_no_measurement(self, sw_eos, cubic_reg,
+                                                                 amplitude, monkeypatch):
+        # rho_bar + a cos(x) rounds to rho_bar: nothing moves, and the measured speed
+        # used to come out as exactly c0; the check comes before the run
+        monkeypatch.setattr(analysis, "run", None)
+        with pytest.raises(MeasurementInvalidError, match="leaves no mode 1 in the density"):
+            bl.measured_phase_speed(sw_eos, cubic_reg, 1, amplitude)
+
     def test_rejects_bad_mode(self, sw_eos, cubic_reg):
         with pytest.raises(DomainError):
             bl.measured_phase_speed(sw_eos, cubic_reg, 0, 1e-6)

@@ -703,6 +703,19 @@ class TestCli:
         assert err.value.problems == [
             "[study] amplitude must be < [eos] rho_bar for dispersion_study"]
 
+    def test_a_dispersion_wave_below_the_density_rounding_exits_2(self, tmp_path, capsys):
+        # validate accepts the amplitude; the run finds no wave to measure
+        path = tmp_path / "tiny.cfg"
+        path.write_text("[experiment]\nkind = dispersion_study\n"
+                        "[study]\nmodes = 1, 2\namplitude = 1e-300\n")
+        assert cli.main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "amplitude 1.000e-300 leaves no mode 1 in the density"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
     def test_steady_profile_below_the_sonic_density_reaches_its_cusp(self, tmp_path, capsys):
         # rho_start lies below the sonic density 1.0858, so the density rises to its cusp
         path = tmp_path / "below.cfg"
@@ -899,6 +912,17 @@ class TestCli:
         assert cli._cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
         assert cli._cpus() == 1
+
+    def test_only_a_large_stage_starts_the_helper(self, tmp_path):
+        # the stage helper imports queue at its first start, and no executor at all:
+        # concurrent.futures and the logging it imports cost a fresh process ~4.5 ms
+        lazy = ("queue", "concurrent.futures")
+        stage = ("import barolab as bl; n = {}; g = bl.Grid.periodic(1.0, n); "
+                 "bl.rhs(bl.State(0.0, 1.0 + 0.0 * g.x, 0.0 * g.x, g), "
+                 "bl.Regularizer.cubic(0.1), bl.EquationOfState.shallow_water(1.0))")
+        assert loaded_by_cli_import(tmp_path, *lazy, then=stage.format(64)) == []
+        large = stage.format("bl.euler.PARALLEL_MIN_N")
+        assert loaded_by_cli_import(tmp_path, *lazy, then=large) == ["queue"]
 
     def test_cli_import_leaves_the_pool_unloaded(self, tmp_path):
         # only a sweep that runs its pool imports it, so no other command pays for it

@@ -413,6 +413,15 @@ class TestBlowupAndReference:
         with pytest.raises(DomainError, match="t_end_rel must be > 0 and finite"):
             bl.rusanov_run(st, length, sw_eos)
 
+    @pytest.mark.parametrize("cfl", [-0.4, 0.0, np.nan, np.inf])
+    def test_rusanov_needs_a_positive_finite_cfl(self, sw_eos, cfl):
+        # a negative cfl ran backward in time into vacuum, and an infinite one took the
+        # whole length in one forward-Euler step; above 1 is allowed (see below)
+        g = Grid.periodic(1.0, 64)
+        st = State(0.0, 1.0 + 0.01 * np.sin(2 * np.pi * g.x), np.zeros(64), g)
+        with pytest.raises(DomainError, match="cfl must be > 0 and finite"):
+            bl.rusanov_run(st, 0.5, sw_eos, cfl=cfl)
+
     def test_rusanov_vacuum_is_an_integration_error(self, sw_eos):
         g = Grid.periodic(1.0, 256)
         st = State(0.0, np.ones(256), 3.0 * np.sin(2 * np.pi * g.x), g)

@@ -252,7 +252,6 @@ def test_the_callers_error_state_reaches_the_transport_task():
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
 def test_an_interrupted_wait_lets_the_task_end_and_hands_on_nothing_stale():
-    helper = euler._helper()
     ended = []
 
     class Interrupt(Exception):
@@ -270,12 +269,12 @@ def test_an_interrupted_wait_lets_the_task_end_and_hands_on_nothing_stale():
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.05)
         with pytest.raises(Interrupt):
-            helper.beside(slow, lambda: None)
+            euler._beside(slow, lambda: None)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert ended == [True]
-    assert helper.beside(lambda: None, lambda: "fresh") == "fresh"
+    assert euler._beside(lambda: None, lambda: "fresh") == "fresh"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -21,7 +21,9 @@ that no cell sees the heap that an earlier one left.  There the layer is called
 once to warm up and then timed in 7 loops of about 0.05 s each; the first table
 gives the median µs per call.  The second gives ``ru_minflt`` of that
 interpreter over the 7 loops, divided by the calls made: the pages that the
-layer's arrays fault in again on every call.
+layer's arrays fault in again on every call.  The header line above the tables
+names ``barolab.euler.PARALLEL_MIN_N``: the Euler stages of the columns from that n
+up run their transport terms on the helper thread.
 
 Before the tables, one start-up line gives the median wall ms, over
 ``STARTUP_REPEATS`` fresh interpreters each, of ``import barolab.cli`` and of
@@ -143,7 +145,8 @@ def main():
             t, f = measure_alone(name, n)
             us.setdefault(name, []).append(t)
             faults.setdefault(name, []).append(f)
-    print(f"barolab at {Path(bl.__file__).resolve().parent}; numpy {np.__version__}")
+    print(f"barolab at {Path(bl.__file__).resolve().parent}; numpy {np.__version__}; "
+          f"two-thread stages from n = {bl.euler.PARALLEL_MIN_N}")
     print()
     table("µs per call", us)
     print()
